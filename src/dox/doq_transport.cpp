@@ -68,6 +68,10 @@ class DoqTransport final : public TransportBase {
     state_.reset();
   }
 
+  std::size_t open_query_records() const {
+    return state_ ? state_->streams.size() + state_->in_flight.size() : 0;
+  }
+
   WireStats wire_stats() const override {
     WireStats stats = stats_;
     if (state_) {
@@ -269,8 +273,13 @@ class DoqTransport final : public TransportBase {
     buf.data.insert(buf.data.end(), data.begin(), data.end());
     if (!fin) return;
 
+    // The stream is finished whatever its bytes hold: drop its state
+    // before classifying them.
     auto pending = buf.pending;
-    std::span<const std::uint8_t> payload(buf.data);
+    const std::vector<std::uint8_t> bytes = std::move(buf.data);
+    std::erase(state->in_flight, pending);
+    state->streams.erase(it);
+    std::span<const std::uint8_t> payload(bytes);
     if (state->length_prefix) {
       if (payload.size() < 2) {
         finish_error(pending, util::Error::truncated("short DoQ response"));
@@ -280,8 +289,6 @@ class DoqTransport final : public TransportBase {
       payload = payload.subspan(2, std::min(len, payload.size() - 2));
     }
     auto message = dns::Message::decode(payload);
-    std::erase(state->in_flight, pending);
-    state->streams.erase(it);
     if (!message || !matches(*message, *pending)) {
       finish_error(pending, util::Error::protocol("malformed DoQ response"));
       return;
@@ -294,6 +301,11 @@ class DoqTransport final : public TransportBase {
 };
 
 }  // namespace
+
+std::size_t doq_open_query_records(const DnsTransport& transport) {
+  const auto* doq = dynamic_cast<const DoqTransport*>(&transport);
+  return doq ? doq->open_query_records() : 0;
+}
 
 std::unique_ptr<DnsTransport> make_doq_transport(
     const TransportDeps& deps, const TransportOptions& options) {

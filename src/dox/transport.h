@@ -103,4 +103,9 @@ std::unique_ptr<DnsTransport> make_transport(DnsProtocol protocol,
                                              const TransportDeps& deps,
                                              const TransportOptions& options);
 
+/// Per-query records (stream buffers plus pending entries) a DoQ transport
+/// still holds for its live connection: 0 once every query it was given has
+/// finished, whatever the outcome. 0 for transports of other protocols.
+std::size_t doq_open_query_records(const DnsTransport& transport);
+
 }  // namespace doxlab::dox

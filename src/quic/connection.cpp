@@ -159,11 +159,13 @@ void QuicConnection::send_stream(std::uint64_t stream_id,
     }
     return;
   }
+  if (stream_retired(stream_id)) return;  // both directions already finished
   Stream& stream = streams_[stream_id];
   Frame f = Frame::stream(stream_id, stream.send_offset, std::move(data), fin);
   stream.send_offset += f.data.size();
   stream.send_fin = fin;
   queue_frame(PnSpace::kAppData, std::move(f));
+  retire_if_finished(stream_id);
   if (!processing_) flush_output();
 }
 
@@ -277,7 +279,7 @@ void QuicConnection::flush_output() {
     auto& pending = pending_[s];
     std::vector<Frame> frames;
     if (need_ack_[s]) {
-      auto ranges = build_ack_ranges(space);
+      auto ranges = received_pns_[s].descending();
       if (!ranges.empty()) frames.push_back(Frame::ack(std::move(ranges)));
       need_ack_[s] = false;
     }
@@ -506,10 +508,9 @@ void QuicConnection::process_packet(const QuicPacket& packet) {
   }
 
   const int s = static_cast<int>(space_of(packet.type));
-  if (received_pns_[s].contains(packet.packet_number)) {
+  if (!received_pns_[s].insert(packet.packet_number)) {
     return;  // duplicate delivery (retransmitted datagram); already handled
   }
-  received_pns_[s].insert(packet.packet_number);
   if (packet.ack_eliciting()) need_ack_[s] = true;
 
   if (config_.is_server && packet.type == PacketType::kHandshake) {
@@ -761,6 +762,7 @@ void QuicConnection::complete_handshake() {
   // Client: flush streams that did not ride 0-RTT.
   if (!config_.is_server && !early_accepted_) {
     for (auto& qs : queued_streams_) {
+      if (stream_retired(qs.id)) continue;  // rode 0-RTT, already answered
       Stream& stream = streams_[qs.id];
       if (stream.send_offset > 0 || stream.send_fin) continue;  // 0-RTT path
       const std::size_t len = qs.data.size();
@@ -774,6 +776,9 @@ void QuicConnection::complete_handshake() {
 }
 
 void QuicConnection::handle_stream_frame(const Frame& frame) {
+  // A retired stream's frames are late retransmissions of bytes already
+  // delivered; recreating the record would deliver (and answer) them again.
+  if (stream_retired(frame.stream_id)) return;
   Stream& stream = streams_[frame.stream_id];
   if (frame.fin) {
     stream.fin_offset = frame.offset + frame.data.size();
@@ -817,6 +822,26 @@ void QuicConnection::handle_stream_frame(const Frame& frame) {
       }
     }
   }
+  // Only after the delivery loop: the callback may send_stream() on this
+  // stream, which must not erase the record the loop is still walking (the
+  // chunk being delivered keeps recv_buffer non-empty until then).
+  retire_if_finished(frame.stream_id);
+}
+
+bool QuicConnection::stream_retired(std::uint64_t stream_id) const {
+  return retired_streams_[stream_id & 3].contains(stream_id >> 2);
+}
+
+void QuicConnection::retire_if_finished(std::uint64_t stream_id) {
+  auto it = streams_.find(stream_id);
+  if (it == streams_.end()) return;
+  const Stream& stream = it->second;
+  if (!stream.send_fin || !stream.fin_delivered ||
+      !stream.recv_buffer.empty()) {
+    return;
+  }
+  retired_streams_[stream_id & 3].insert(stream_id >> 2);
+  streams_.erase(it);
 }
 
 void QuicConnection::handle_version_negotiation(const QuicPacket& packet) {
@@ -931,20 +956,6 @@ void QuicConnection::detect_losses(PnSpace space, std::uint64_t largest_acked) {
       ++it;
     }
   }
-}
-
-std::vector<AckRange> QuicConnection::build_ack_ranges(PnSpace space) const {
-  const auto& pns = received_pns_[static_cast<int>(space)];
-  std::vector<AckRange> ranges;  // built ascending, then reversed
-  for (std::uint64_t pn : pns) {
-    if (!ranges.empty() && ranges.back().last + 1 == pn) {
-      ranges.back().last = pn;
-    } else {
-      ranges.push_back(AckRange{pn, pn});
-    }
-  }
-  std::reverse(ranges.begin(), ranges.end());
-  return ranges;
 }
 
 void QuicConnection::update_rtt(SimTime sample) {

@@ -24,13 +24,13 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cc/cc.h"
 #include "net/udp.h"
+#include "quic/range_set.h"
 #include "quic/types.h"
 #include "quic/wire.h"
 #include "sim/simulator.h"
@@ -187,6 +187,14 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   /// Packets declared lost by ack-based (packet threshold) detection.
   std::uint64_t packets_declared_lost() const { return packets_lost_; }
 
+  /// Stream records still held: streams not yet finished in both
+  /// directions. Finished streams are retired (see retired_streams_).
+  std::size_t live_streams() const { return streams_.size(); }
+  /// Ranges of received packet numbers held for `space` (one per gap).
+  std::size_t received_ranges(PnSpace space) const {
+    return received_pns_[static_cast<int>(space)].ranges().size();
+  }
+
  private:
   QuicConnection(sim::Simulator& sim, QuicConfig config, Callbacks callbacks);
 
@@ -208,8 +216,9 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   void handle_tls_message(PnSpace space, const tls::HandshakeMessage& msg);
   void handle_ack(PnSpace space, const Frame& ack);
   void detect_losses(PnSpace space, std::uint64_t largest_acked);
-  std::vector<AckRange> build_ack_ranges(PnSpace space) const;
   void handle_stream_frame(const Frame& frame);
+  bool stream_retired(std::uint64_t stream_id) const;
+  void retire_if_finished(std::uint64_t stream_id);
   void handle_version_negotiation(const QuicPacket& packet);
   void handle_retry(const QuicPacket& packet);
 
@@ -264,7 +273,10 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
   };
   CryptoStream crypto_[kNumPnSpaces];
 
-  // Application streams.
+  // Application streams. A stream's record lives until its FIN has been
+  // sent and delivered and nothing is left to reassemble; then only its id
+  // is kept, in retired_streams_, so a long-lived connection holds state
+  // for its open streams only.
   struct Stream {
     std::uint64_t send_offset = 0;
     bool send_fin = false;
@@ -275,6 +287,9 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
     bool fin_delivered = false;
   };
   std::map<std::uint64_t, Stream> streams_;
+  /// Retired stream ids, per stream type (id & 3), as sequence numbers
+  /// (id >> 2). Frames for them are acknowledged and otherwise ignored.
+  RangeSet retired_streams_[4];
   std::uint64_t next_stream_id_ = 0;  // client-initiated bidi: 0,4,8,...
   struct QueuedStream {
     std::vector<std::uint8_t> data;
@@ -285,9 +300,11 @@ class QuicConnection : public std::enable_shared_from_this<QuicConnection> {
 
   // Packet numbers and reliability.
   std::uint64_t next_pn_[kNumPnSpaces] = {0, 0, 0};
-  /// Packet numbers received per space (small sets; connections in the
-  /// study exchange tens of packets at most).
-  std::set<std::uint64_t> received_pns_[kNumPnSpaces];
+  /// Packet numbers received per space, as ranges. A connection can live
+  /// for tens of thousands of packets (the engine's upstreams do), and
+  /// in-order arrival only widens the last range, so duplicate checks and
+  /// ACK construction cost O(gaps), not O(packets received).
+  RangeSet received_pns_[kNumPnSpaces];
   struct SentPacket {
     std::uint64_t pn;
     std::vector<Frame> retransmittable;  // frames worth recovering

@@ -31,6 +31,12 @@ class QuicServer {
 
   /// Live connection count (diagnostics).
   std::size_t connection_count() const { return connections_.size(); }
+  /// Stream records held over all live connections (diagnostics).
+  std::size_t live_streams() const {
+    std::size_t total = 0;
+    for (const auto& [peer, conn] : connections_) total += conn->live_streams();
+    return total;
+  }
 
   /// Stateless Version Negotiation responses sent (the scanner counts
   /// these).

@@ -90,6 +90,19 @@ bool wants_padding(const dns::Message& query) {
   return false;
 }
 
+/// One DoQ connection's partial query streams. `live` is the resolver-wide
+/// count of buffered streams, kept exact as entries come and go.
+struct DoqStreamBuffers {
+  explicit DoqStreamBuffers(std::shared_ptr<std::size_t> live_count)
+      : live(std::move(live_count)) {}
+  DoqStreamBuffers(const DoqStreamBuffers&) = delete;
+  DoqStreamBuffers& operator=(const DoqStreamBuffers&) = delete;
+  ~DoqStreamBuffers() { *live -= by_stream.size(); }
+
+  std::map<std::uint64_t, std::vector<std::uint8_t>> by_stream;
+  std::shared_ptr<std::size_t> live;
+};
+
 /// Incremental 2-byte-length framing parser (server side).
 struct LengthReader {
   std::vector<std::uint8_t> buffer;
@@ -496,8 +509,7 @@ void DoxResolver::serve_doq() {
                              const net::Endpoint&) {
       const bool prefix = alpn_uses_length_prefix(profile_.doq_alpn);
       auto buffers =
-          std::make_shared<std::map<std::uint64_t,
-                                    std::vector<std::uint8_t>>>();
+          std::make_shared<DoqStreamBuffers>(doq_buffered_streams_);
       // Weak capture: the connection owns this callback, so a shared
       // capture would pin the connection alive forever (cycle). The
       // QuicServer's connection map is the owner.
@@ -506,17 +518,22 @@ void DoxResolver::serve_doq() {
                                    std::uint64_t stream_id,
                                    std::span<const std::uint8_t> data,
                                    bool fin) {
-        auto& buffer = (*buffers)[stream_id];
-        buffer.insert(buffer.end(), data.begin(), data.end());
+        auto [it, fresh] = buffers->by_stream.try_emplace(stream_id);
+        if (fresh) ++*buffers->live;
+        it->second.insert(it->second.end(), data.begin(), data.end());
         if (!fin) return;
-        std::span<const std::uint8_t> payload(buffer);
+        // The stream is finished: release its buffer before parsing, so a
+        // short or malformed query cannot leave it behind.
+        const std::vector<std::uint8_t> bytes = std::move(it->second);
+        buffers->by_stream.erase(it);
+        --*buffers->live;
+        std::span<const std::uint8_t> payload(bytes);
         if (prefix) {
           if (payload.size() < 2) return;
           const std::size_t len = (std::size_t(payload[0]) << 8) | payload[1];
           payload = payload.subspan(2, std::min(len, payload.size() - 2));
         }
         auto query = dns::Message::decode(payload);
-        buffers->erase(stream_id);
         if (!query) return;
         handle_query(dox::DnsProtocol::kDoQ, *query,
                      [weak_conn, stream_id, prefix](dns::Message response) {

@@ -94,6 +94,15 @@ class DoxResolver {
   std::uint64_t queries_served(dox::DnsProtocol protocol) const {
     return served_[static_cast<int>(protocol)];
   }
+  /// DoQ query streams whose bytes are buffered awaiting FIN, summed over
+  /// live connections (a finished stream's buffer is always released).
+  std::size_t doq_buffered_streams() const { return *doq_buffered_streams_; }
+  /// QUIC stream records held by the DoQ and DoH3 listeners' connections.
+  std::size_t quic_live_streams() const {
+    std::size_t total = 0;
+    for (const auto& server : quic_servers_) total += server->live_streams();
+    return total;
+  }
 
  private:
   struct DotConn;
@@ -133,6 +142,10 @@ class DoxResolver {
       doh3_conns_;
 
   std::uint64_t served_[6] = {0, 0, 0, 0, 0, 0};
+  /// Shared with each DoQ connection's buffer map, which can outlive the
+  /// resolver inside a closing connection's callbacks.
+  std::shared_ptr<std::size_t> doq_buffered_streams_ =
+      std::make_shared<std::size_t>(0);
 };
 
 }  // namespace doxlab::resolver

@@ -141,10 +141,14 @@ void ThreadPool::run_task(const Task& task) {
     std::lock_guard<std::mutex> lock(batch.error_mutex);
     if (!batch.first_error) batch.first_error = std::current_exception();
   }
+  // Count down under the mutex. `batch` lives on the parallel_for caller's
+  // stack, and the caller may see remaining == 0 and return as soon as the
+  // count drops; decremented outside the lock, the last task could then
+  // lock and notify a destroyed mutex and condition variable. Holding the
+  // lock also means the waiter cannot miss the notification between its
+  // predicate check and its wait.
+  std::lock_guard<std::mutex> lock(batch.done_mutex);
   if (batch.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task: notify under the mutex so the waiter cannot miss it
-    // between its predicate check and its wait.
-    std::lock_guard<std::mutex> lock(batch.done_mutex);
     batch.done_cv.notify_all();
   }
 }

@@ -7,6 +7,7 @@
 #include "dox/transport.h"
 #include "h2/connection.h"
 #include "net/network.h"
+#include "quic/server.h"
 #include "resolver/resolver.h"
 #include "sim/simulator.h"
 
@@ -298,6 +299,86 @@ TEST_F(DoxFixture, DoqMultipleQueriesShareOneConnection) {
   EXPECT_TRUE(a.new_session);
   EXPECT_FALSE(b.new_session);
   EXPECT_EQ(b.handshake_time(), 0);
+}
+
+TEST_F(DoxFixture, DoqShortResponseReleasesQueryState) {
+  // A responder whose first answer is one byte, shorter than the 2-byte
+  // length prefix, and whose later answers are well-formed.
+  net::Host& host = network_.add_host("short-doq",
+                                      IpAddress::from_octets(10, 3, 0, 1),
+                                      {52.37, 4.90}, Continent::kEurope);
+  network_.set_path_override(client_host_.address(), host.address(),
+                             from_ms(10));
+  net::UdpStack server_udp(host);
+  quic::QuicConfig config;
+  config.alpn = {"doq"};
+  config.ticket_secret = 0x5;
+  quic::QuicServer server(sim_, server_udp, 853, config);
+  int answered = 0;
+  server.on_accept([&answered](const std::shared_ptr<quic::QuicConnection>& conn,
+                               const Endpoint&) {
+    conn->set_on_stream_data([&answered, c = conn.get()](
+                                 std::uint64_t id,
+                                 std::span<const std::uint8_t> data, bool fin) {
+      if (!fin) return;  // a query fits one frame
+      if (answered++ == 0) {
+        c->send_stream(id, {0x00}, true);
+        return;
+      }
+      auto query = dns::Message::decode(data.subspan(2));
+      ASSERT_TRUE(query.has_value());
+      const auto wire = dns::make_response(*query).encode();
+      std::vector<std::uint8_t> framed = {
+          static_cast<std::uint8_t>(wire.size() >> 8),
+          static_cast<std::uint8_t>(wire.size() & 0xFF)};
+      framed.insert(framed.end(), wire.begin(), wire.end());
+      c->send_stream(id, std::move(framed), true);
+    });
+  });
+
+  TransportOptions opts;
+  opts.resolver = Endpoint{host.address(), 853};
+  auto transport = make_transport(DnsProtocol::kDoQ, deps(), opts);
+  std::vector<QueryResult> results;
+  transport->resolve(dns::Question{dns::DnsName::parse("short.example"),
+                                   dns::RRType::kA, dns::RRClass::kIN},
+                     [&](QueryResult r) { results.push_back(std::move(r)); });
+  sim_.run_until(sim_.now() + 30 * kSecond);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].error_class(), util::ErrorClass::kTruncated);
+  EXPECT_EQ(doq_open_query_records(*transport), 0u);
+
+  QueryResult second = query(*transport, "good.example");
+  EXPECT_TRUE(second.ok()) << second.error();
+  EXPECT_FALSE(second.new_session);  // same connection
+  EXPECT_EQ(results.size(), 1u);     // the first handler never fires again
+  EXPECT_EQ(doq_open_query_records(*transport), 0u);
+}
+
+TEST_F(DoxFixture, ResolverReleasesShortDoqQueryBuffers) {
+  resolver::ResolverProfile profile = default_profile();
+  profile.doq_alpn = "doq";  // length-prefixed framing
+  start_resolver(profile);
+  auto socket = udp_.bind_ephemeral();
+  quic::QuicConnection::Callbacks callbacks;
+  callbacks.send_datagram = [&socket, &profile](util::Buffer bytes) {
+    socket->send_to(Endpoint{profile.address, 853}, std::move(bytes));
+  };
+  auto conn = quic::QuicConnection::make_client(
+      sim_, quic::QuicConfig{.alpn = {"doq"}, .sni = "resolver-1"},
+      std::move(callbacks));
+  socket->on_datagram([conn](const Endpoint&, util::Buffer payload) {
+    conn->on_datagram(payload);
+  });
+  conn->connect();
+  conn->open_stream({0x00}, /*fin=*/true);         // shorter than the prefix
+  conn->open_stream({0x00, 0x40}, /*fin=*/false);  // awaiting more bytes
+  sim_.run_until(sim_.now() + kSecond);
+  // Only the unfinished stream is still buffered.
+  EXPECT_EQ(resolver_->doq_buffered_streams(), 1u);
+  conn->close();
+  sim_.run_until(sim_.now() + kSecond);
+  EXPECT_EQ(resolver_->doq_buffered_streams(), 0u);
 }
 
 // ----------------------------------------------------------- DoT connection

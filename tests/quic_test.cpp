@@ -1,14 +1,22 @@
 // Unit + integration tests for the QUIC model: wire codec, handshake
 // round-trip counts, padding/amplification behaviour, resumption, 0-RTT,
-// Retry, Version Negotiation, streams, loss recovery, teardown.
+// Retry, Version Negotiation, streams, loss recovery, teardown, and the
+// constant per-connection state of long-lived DoQ connections.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <set>
+
+#include "dns/message.h"
+#include "dox/transport.h"
 #include "net/network.h"
 #include "net/udp.h"
 #include "quic/connection.h"
+#include "quic/range_set.h"
 #include "quic/server.h"
 #include "quic/wire.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace doxlab::quic {
 namespace {
@@ -757,6 +765,226 @@ TEST_F(QuicFixture, BlackholeCollapsesWindowViaPersistentCongestion) {
   EXPECT_EQ(conn->congestion().cwnd(),
             conn->congestion().config().min_window_segments *
                 conn->congestion().config().mss);
+}
+
+// ------------------------------------------------- received packet ranges
+
+/// The ACK ranges a std::set of packet numbers yields: maximal runs of
+/// consecutive numbers, largest first (the walk RangeSet replaces).
+std::vector<AckRange> ranges_of(const std::set<std::uint64_t>& pns) {
+  std::vector<AckRange> ranges;
+  for (std::uint64_t pn : pns) {
+    if (!ranges.empty() && ranges.back().last + 1 == pn) {
+      ranges.back().last = pn;
+    } else {
+      ranges.push_back(AckRange{pn, pn});
+    }
+  }
+  std::reverse(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+/// Inserts `sequence` into a RangeSet and a std::set side by side; after
+/// every insert the "new or duplicate" answer, the descending ranges and
+/// membership probes must agree.
+void expect_matches_set(const std::vector<std::uint64_t>& sequence,
+                        std::uint64_t seed) {
+  RangeSet ranges;
+  std::set<std::uint64_t> reference;
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    const std::uint64_t pn = sequence[i];
+    ASSERT_EQ(ranges.insert(pn), reference.insert(pn).second)
+        << "insert #" << i << " of " << pn;
+    ASSERT_EQ(ranges.descending(), ranges_of(reference)) << "after #" << i;
+    const std::uint64_t probe = splitmix64(seed, i) % (sequence.size() + 8);
+    ASSERT_EQ(ranges.contains(probe), reference.contains(probe))
+        << "probe " << probe;
+  }
+}
+
+TEST(QuicRangeSet, MatchesSetWalkOnSeededSequences) {
+  constexpr std::size_t kLength = 1500;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<std::uint64_t> in_order(kLength);
+    std::iota(in_order.begin(), in_order.end(), 0);
+    expect_matches_set(in_order, seed);
+
+    std::vector<std::uint64_t> shuffled = in_order;
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+      std::swap(shuffled[i], shuffled[splitmix64(seed, i) % (i + 1)]);
+    }
+    expect_matches_set(shuffled, seed);
+
+    std::vector<std::uint64_t> duplicates;
+    for (std::size_t i = 0; i < kLength; ++i) {
+      duplicates.push_back(splitmix64(seed ^ 0xD0, i) % (kLength / 3));
+    }
+    expect_matches_set(duplicates, seed);
+
+    // Mostly in order with dropped numbers (losses) and short-range
+    // reordering (late arrivals), the shape a lossy path produces.
+    std::vector<std::uint64_t> gaps;
+    for (std::uint64_t pn = 0; pn < kLength; ++pn) {
+      if (splitmix64(seed ^ 0x6A, pn) % 5 != 0) gaps.push_back(pn);
+    }
+    for (std::size_t i = 1; i < gaps.size(); ++i) {
+      if (splitmix64(seed ^ 0x5A, i) % 4 == 0) std::swap(gaps[i - 1], gaps[i]);
+    }
+    expect_matches_set(gaps, seed);
+  }
+}
+
+TEST(QuicRangeSet, InOrderInsertsKeepOneRange) {
+  RangeSet ranges;
+  for (std::uint64_t pn = 0; pn < 100000; ++pn) ASSERT_TRUE(ranges.insert(pn));
+  EXPECT_EQ(ranges.ranges().size(), 1u);
+  EXPECT_FALSE(ranges.insert(4242));
+  EXPECT_EQ(ranges.descending(), (std::vector<AckRange>{{0, 99999}}));
+}
+
+// ------------------------------------------- long-lived DoQ connections
+
+/// Issues `total` A queries through `transport`, `batch` at a time, running
+/// the simulation until each batch has completed. Returns how often each
+/// query's handler fired; failed queries are counted in `failures`.
+std::vector<int> run_queries(sim::Simulator& sim, dox::DnsTransport& transport,
+                             int total, int batch, int& failures) {
+  std::vector<int> completions(static_cast<std::size_t>(total), 0);
+  int done = 0;
+  for (int first = 0; first < total; first += batch) {
+    const int last = std::min(total, first + batch);
+    for (int q = first; q < last; ++q) {
+      const auto name =
+          dns::DnsName::parse("host" + std::to_string(q) + ".example");
+      transport.resolve(
+          dns::Question{name, dns::RRType::kA, dns::RRClass::kIN},
+          [&, q](dox::QueryResult result) {
+            ++completions[static_cast<std::size_t>(q)];
+            ++done;
+            if (!result.ok()) ++failures;
+          });
+    }
+    while (done < last && sim.step()) {
+    }
+  }
+  return completions;
+}
+
+class LongLivedDoq : public QuicFixture {
+ protected:
+  /// A DoQ responder ("doq" ALPN, 2-byte length prefix) that answers every
+  /// query stream with one A record from inside the stream callback, and
+  /// counts its answers per stream.
+  void start_responder() {
+    server_ = std::make_unique<QuicServer>(sim_, server_udp_, 853,
+                                           server_config());
+    server_->on_accept([this](const std::shared_ptr<QuicConnection>& conn,
+                              const Endpoint&) {
+      accepted_.push_back(conn);
+      conn->set_on_stream_data([this, c = conn.get()](
+                                   std::uint64_t id,
+                                   std::span<const std::uint8_t> data,
+                                   bool fin) {
+        auto& bytes = query_bytes_[id];
+        bytes.insert(bytes.end(), data.begin(), data.end());
+        if (!fin) return;
+        auto query =
+            dns::Message::decode(std::span<const std::uint8_t>(bytes).subspan(2));
+        query_bytes_.erase(id);
+        ASSERT_TRUE(query.has_value());
+        dns::Message response = dns::make_response(*query);
+        response.answers.push_back(
+            dns::make_a(query->questions.front().name, 300, 0x0A000002));
+        auto wire = response.encode();
+        std::vector<std::uint8_t> framed = {
+            static_cast<std::uint8_t>(wire.size() >> 8),
+            static_cast<std::uint8_t>(wire.size() & 0xFF)};
+        framed.insert(framed.end(), wire.begin(), wire.end());
+        ++answers_[id];
+        c->send_stream(id, std::move(framed), true);
+      });
+    });
+  }
+
+  std::unique_ptr<dox::DnsTransport> make_transport() {
+    dox::TransportDeps deps;
+    deps.sim = &sim_;
+    deps.udp = &client_udp_;
+    dox::TransportOptions options;
+    options.resolver = Endpoint{server_host_.address(), 853};
+    return dox::make_transport(dox::DnsProtocol::kDoQ, deps, options);
+  }
+
+  /// Runs kQueries through one transport and checks every query was
+  /// answered exactly once over one connection that ends with no stream
+  /// records on the server and no per-query state in the transport.
+  void run_and_check(int& failures) {
+    start_responder();
+    auto transport = make_transport();
+    const std::vector<int> completions =
+        run_queries(sim_, *transport, kQueries, 8, failures);
+    for (std::size_t q = 0; q < completions.size(); ++q) {
+      ASSERT_EQ(completions[q], 1) << "query " << q;
+    }
+    ASSERT_EQ(accepted_.size(), 1u);  // one connection, reused throughout
+    ASSERT_EQ(answers_.size(), static_cast<std::size_t>(kQueries));
+    for (const auto& [id, count] : answers_) {
+      ASSERT_EQ(count, 1) << "stream " << id << " answered twice";
+    }
+    EXPECT_EQ(accepted_.front()->live_streams(), 0u);
+    EXPECT_TRUE(query_bytes_.empty());
+    EXPECT_EQ(dox::doq_open_query_records(*transport), 0u);
+  }
+
+  static constexpr int kQueries = 5000;
+  std::map<std::uint64_t, std::vector<std::uint8_t>> query_bytes_;
+  std::map<std::uint64_t, int> answers_;
+};
+
+TEST_F(LongLivedDoq, FiveThousandQueriesLeaveNoStreamState) {
+  int failures = 0;
+  run_and_check(failures);
+  EXPECT_EQ(failures, 0);
+  // Loss-free: every packet number arrived, so each space is one range.
+  const QuicConnection& server = *accepted_.front();
+  for (PnSpace space : {PnSpace::kInitial, PnSpace::kHandshake,
+                        PnSpace::kAppData}) {
+    EXPECT_EQ(server.received_ranges(space), 1u)
+        << "space " << static_cast<int>(space);
+  }
+}
+
+TEST_F(LongLivedDoq, LossyPathStillAnswersEveryQueryExactlyOnce) {
+  // Lost ACKs make the client retransmit queries the server has already
+  // answered and retired; those frames must be dropped, not re-answered.
+  network_.set_loss_rate(0.05);
+  int failures = 0;
+  run_and_check(failures);
+  EXPECT_EQ(failures, 0);
+  EXPECT_GT(accepted_.front()->pto_count_total(), 0u);  // loss did bite
+}
+
+TEST_F(QuicFixture, ClientRetiresAnsweredStreams) {
+  // The client side of the same exchange, on a bare connection: 5,000
+  // request/response streams leave no stream records on either endpoint
+  // and one received range per packet-number space.
+  start_server(server_config());
+  auto conn = make_client(client_config());
+  conn->connect();
+  for (int batch = 0; batch < 625; ++batch) {
+    for (int i = 0; i < 8; ++i) conn->open_stream({1, 2, 3}, true);
+    sim_.run_until(sim_.now() + from_ms(50));
+  }
+  sim_.run_until(sim_.now() + kSecond);
+  EXPECT_EQ(stream_fin_.size(), 5000u);
+  EXPECT_EQ(conn->live_streams(), 0u);
+  ASSERT_EQ(accepted_.size(), 1u);
+  EXPECT_EQ(accepted_.front()->live_streams(), 0u);
+  for (PnSpace space : {PnSpace::kInitial, PnSpace::kHandshake,
+                        PnSpace::kAppData}) {
+    EXPECT_EQ(conn->received_ranges(space), 1u)
+        << "space " << static_cast<int>(space);
+  }
 }
 
 }  // namespace

@@ -22,6 +22,8 @@ echo "== tiered cache / warm-restart smoke =="
 echo "== adverse-path smoke (fairness + RFC 9002 recovery) =="
 "$root/build/bench/adverse_path" --smoke
 "$root/build/tools/doxperf" adverse --smoke >/dev/null
+echo "== long-lived QUIC connection smoke (resolve cost flat with age) =="
+"$root/build/bench/quic_conn" --smoke
 
 echo "== sanitizer build (${root}/build-sanitize, ASan+UBSan) =="
 cmake -B "$root/build-sanitize" -S "$root" -DDOXLAB_SANITIZE=ON >/dev/null
@@ -38,6 +40,9 @@ trap 'rm -rf "$snapdir"' EXIT
       --qps=2000 --seconds=2 --snapshot-dir="$snapdir" --l2-stale >/dev/null
 "$root/build-sanitize/tools/doxperf" churn --smoke --restart-at=4 \
       --snapshot-dir="$snapdir/churn" >/dev/null
+# Thousands of streams retired on one DoQ connection under ASan: retired
+# stream records are freed while callbacks are still on the stack.
+"$root/build-sanitize/bench/quic_conn" --smoke >/dev/null
 
 echo "== race-detector build (${root}/build-tsan, TSan) =="
 cmake -B "$root/build-tsan" -S "$root" -DDOXLAB_TSAN=ON >/dev/null
