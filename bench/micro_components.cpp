@@ -310,9 +310,74 @@ SimCoreSample measure_cancel(Sim& sim, int trials, int batch) {
   return sample;
 }
 
+/// engine_hot's client-timeout pattern: the clock advances one arrival gap
+/// (110k qps), the query answered `kLaneDepth` arrivals ago cancels its
+/// timeout, and a fresh query arms one a fixed 8 s ahead. `arm(sim)`
+/// returns a handle, `disarm(sim, handle)` cancels it. The first `warmup`
+/// cycles are untimed; the same in-flight window carries on into the timed
+/// ones.
+constexpr std::size_t kLaneDepth = 300;  // 110k qps x 2.8 ms mean latency
+constexpr SimTime kLaneGap = 9;  // us between arrivals at 110k qps
+constexpr SimTime kLaneTimeout = 8 * kSecond;
+
+template <typename Handle, typename Arm, typename Disarm>
+SimCoreSample measure_timeout_cycle(sim::Simulator& sim, int ops, Arm&& arm,
+                                    Disarm&& disarm) {
+  std::vector<Handle> in_flight(kLaneDepth);
+  std::size_t next = 0;
+  auto cycle = [&] {
+    sim.run_until(sim.now() + kLaneGap);
+    disarm(sim, in_flight[next]);
+    in_flight[next] = arm(sim);
+    next = next + 1 == kLaneDepth ? 0 : next + 1;
+  };
+  for (int i = 0; i < ops / 10 + 10; ++i) cycle();
+  const std::uint64_t allocs0 = g_heap_allocs.load();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < ops; ++i) cycle();
+  const auto t1 = std::chrono::steady_clock::now();
+  SimCoreSample sample;
+  sample.ns_per_op =
+      std::chrono::duration<double, std::nano>(t1 - t0).count() / ops;
+  sample.allocs_per_op =
+      static_cast<double>(g_heap_allocs.load() - allocs0) / ops;
+  return sample;
+}
+
+SimCoreSample measure_timeout_heap(int ops) {
+  sim::Simulator sim;
+  long long sink = 0;
+  return measure_timeout_cycle<sim::Timer>(
+      sim, ops,
+      [&sink](sim::Simulator& s) {
+        return s.schedule(kLaneTimeout, [&sink] { ++sink; });
+      },
+      [](sim::Simulator&, sim::Timer& timer) { timer.cancel(); });
+}
+
+SimCoreSample measure_timeout_lane(int ops) {
+  sim::Simulator sim;
+  long long sink = 0;
+  const std::uint32_t lane = sim.add_lane(
+      [](void* out, std::uint64_t) { ++*static_cast<long long*>(out); },
+      &sink);
+  return measure_timeout_cycle<sim::LaneTicket>(
+      sim, ops,
+      [lane](sim::Simulator& s) {
+        return s.lane_push(lane, s.now() + kLaneTimeout, 0);
+      },
+      [](sim::Simulator& s, sim::LaneTicket ticket) {
+        s.lane_cancel(ticket);
+      });
+}
+
+/// The lane's timeout cycle must cost at most this fraction of the heap's.
+constexpr double kLaneGate = 0.5;
+
 struct SimCoreResults {
   SimCoreSample fire_new, fire_legacy;
   SimCoreSample cancel_new, cancel_legacy;
+  SimCoreSample timeout_lane, timeout_heap;
 };
 
 /// Keeps the faster timing (machine noise only ever slows a run down);
@@ -355,6 +420,8 @@ SimCoreResults run_sim_core_suite(int trials) {
           measure_cancel<bench::legacy::Simulator, bench::legacy::Timer>(
               sim, trials, kBatch));
     }
+    keep_best(r.timeout_heap, measure_timeout_heap(trials * 1000));
+    keep_best(r.timeout_lane, measure_timeout_lane(trials * 1000));
   }
   return r;
 }
@@ -373,6 +440,12 @@ void report_sim_core(const SimCoreResults& r, bench::JsonReporter& json) {
               r.fire_new.allocs_per_op, r.fire_legacy.allocs_per_op);
   std::printf("EventFn SBO heap fallbacks/event: %.4f\n",
               r.fire_new.eventfn_heap_per_op);
+  const double lane_ratio =
+      r.timeout_lane.ns_per_op / r.timeout_heap.ns_per_op;
+  std::printf("timeout arm+cancel %6.1f ns lane  (heap %6.1f)  %0.2fx of "
+              "heap, depth %zu\n",
+              r.timeout_lane.ns_per_op, r.timeout_heap.ns_per_op, lane_ratio,
+              kLaneDepth);
 
   json.metric("sim_core_fire", "ns_per_event", r.fire_new.ns_per_op);
   json.metric("sim_core_fire", "ns_per_event_legacy",
@@ -394,6 +467,14 @@ void report_sim_core(const SimCoreResults& r, bench::JsonReporter& json) {
               r.cancel_new.allocs_per_op);
   json.metric("sim_core_cancel", "heap_allocs_per_op_legacy",
               r.cancel_legacy.allocs_per_op);
+  json.metric("sim_core_lane", "ns_per_cycle", r.timeout_lane.ns_per_op);
+  json.metric("sim_core_lane", "ns_per_cycle_heap", r.timeout_heap.ns_per_op);
+  json.metric("sim_core_lane", "lane_vs_heap", lane_ratio);
+  json.metric("sim_core_lane", "gate_lane_vs_heap_max", kLaneGate);
+  json.metric("sim_core_lane", "heap_allocs_per_cycle",
+              r.timeout_lane.allocs_per_op);
+  json.metric("sim_core_lane", "in_flight_depth",
+              static_cast<double>(kLaneDepth));
 }
 
 // ---------------------------------------------------------------------------
@@ -825,6 +906,15 @@ int main(int argc, char** argv) {
                    "SMOKE FAIL: wire-cached engine query allocates (%.4f "
                    "heap allocations per query; gate 0.01)\n",
                    b.engine_wire_allocs_per_query);
+      ok = false;
+    }
+    const double lane_ratio =
+        r.timeout_lane.ns_per_op / r.timeout_heap.ns_per_op;
+    if (lane_ratio > kLaneGate || r.timeout_lane.allocs_per_op > 0.01) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: lane timeout cycle %.2fx of the heap cycle "
+                   "(gate %.2fx), %.4f heap allocations per cycle\n",
+                   lane_ratio, kLaneGate, r.timeout_lane.allocs_per_op);
       ok = false;
     }
     std::printf("\nhot-path smoke: %s\n", ok ? "OK" : "REGRESSION");

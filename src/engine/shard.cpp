@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <string>
 
 #include "dns/message.h"
@@ -34,10 +35,116 @@ std::uint32_t shard_of(const ShardedConfig& config, net::IpAddress source) {
       splitmix64(config.seed ^ 0xC11E47ull, source.value()) % config.shards);
 }
 
+SwarmClient::SwarmClient(sim::Simulator& sim, std::size_t names,
+                         SimTime timeout, std::uint64_t seed)
+    : sim_(sim),
+      timeout_(std::max<SimTime>(0, timeout)),
+      seed_(seed),
+      timeout_lane_(sim.add_lane(&SwarmClient::on_timeout, this)),
+      pending_(std::size_t{1} << 16) {
+  // Every query differs from name0's only in the first label, which
+  // starts right after the 12-byte header (the question name is the first
+  // name in the message, so nothing before or after it is compressed
+  // against it). Splice each label into that one encoded template.
+  constexpr std::size_t kHeaderBytes = 12;
+  constexpr std::string_view kLabelPrefix = "name";
+  const std::vector<std::uint8_t> tmpl =
+      dns::make_query(0, dns::DnsName::parse("name0.load.example"),
+                      dns::RRType::kA)
+          .encode();
+  const auto tail = std::span(tmpl).subspan(kHeaderBytes + 1 +
+                                            tmpl[kHeaderBytes]);
+  images_.reserve(names * (tmpl.size() + 8));
+  image_offsets_.reserve(names + 1);
+  image_offsets_.push_back(0);
+  for (std::size_t i = 0; i < names; ++i) {
+    char label[32];
+    std::copy(kLabelPrefix.begin(), kLabelPrefix.end(), label);
+    char* end =
+        std::to_chars(label + kLabelPrefix.size(), std::end(label), i).ptr;
+    images_.insert(images_.end(), tmpl.begin(), tmpl.begin() + kHeaderBytes);
+    images_.push_back(static_cast<std::uint8_t>(end - label));
+    images_.insert(images_.end(), label, end);
+    images_.insert(images_.end(), tail.begin(), tail.end());
+    image_offsets_.push_back(static_cast<std::uint32_t>(images_.size()));
+  }
+}
+
+void SwarmClient::book_outcome(SimTime sent_at, std::uint64_t outcome) {
+  // Commutative sum — see EngineShard::outcome_digest() for the invariance
+  // contract.
+  outcome_digest_ +=
+      splitmix64(seed_ ^ static_cast<std::uint64_t>(sent_at), outcome);
+}
+
+std::optional<util::Buffer> SwarmClient::start_query(
+    std::uint32_t name_index) {
+  // Transaction ids are a shard-global ring: with a 16-bit space and
+  // short-lived queries, a still-pending id is skipped (deterministically)
+  // rather than clobbered.
+  std::uint16_t id = next_id_;
+  while (pending_[id].sent_at != kIdle) {
+    if (++id == 0) id = 1;
+    if (id == next_id_) {
+      // 65535 in flight: shed this arrival. Counted so the load report
+      // reconciles — sent + shed == arrivals scheduled.
+      ++report_.shed;
+      book_outcome(sim_.now(), kOutcomeShed);
+      return std::nullopt;
+    }
+  }
+  next_id_ = static_cast<std::uint16_t>(id + 1);
+  if (next_id_ == 0) next_id_ = 1;
+
+  PendingQuery& query = pending_[id];
+  query.sent_at = sim_.now();
+  query.timeout =
+      sim_.lane_push(timeout_lane_, sim_.now() + timeout_, id).position;
+  ++in_flight_;
+  ++report_.sent;
+
+  const std::uint32_t begin = image_offsets_[name_index];
+  util::Buffer wire = util::Buffer::copy_of(std::span(images_).subspan(
+      begin, image_offsets_[name_index + 1] - begin));
+  wire.data()[0] = static_cast<std::uint8_t>(id >> 8);
+  wire.data()[1] = static_cast<std::uint8_t>(id & 0xFF);
+  return wire;
+}
+
+void SwarmClient::on_timeout(void* self, std::uint64_t id) {
+  // An answer cancels its query's timeout, so a timeout that fires always
+  // finds its query still in flight.
+  SwarmClient& client = *static_cast<SwarmClient*>(self);
+  PendingQuery& query = client.pending_[id];
+  client.book_outcome(query.sent_at, kOutcomeTimeout);
+  query.sent_at = kIdle;
+  --client.in_flight_;
+  ++client.report_.timeouts;
+}
+
+void SwarmClient::on_response(std::span<const std::uint8_t> wire) {
+  if (!dns::Message::decode_into(wire, scratch_) || !scratch_.qr) return;
+  PendingQuery& query = pending_[scratch_.id];
+  if (query.sent_at == kIdle) return;  // unknown id, or answered too late
+  sim_.lane_cancel(sim::LaneTicket{query.timeout, timeout_lane_});
+  if (scratch_.rcode == dns::RCode::kServFail) {
+    ++report_.servfails;
+    book_outcome(query.sent_at, kOutcomeServfail);
+  } else {
+    ++report_.answered;
+    report_.latency_ms.push_back(to_ms(sim_.now() - query.sent_at));
+    book_outcome(query.sent_at, kOutcomeAnswered);
+  }
+  query.sent_at = kIdle;
+  --in_flight_;
+}
+
 EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
                          std::span<const Arrival> arrivals,
                          dns::SharedPacketCache* l2)
-    : config_(config), index_(index) {
+    : config_(config),
+      index_(index),
+      client_(sim_, config.names, config.client_timeout, config.seed) {
   network_ = std::make_unique<net::Network>(
       sim_, Rng(splitmix64(config.seed, kNetworkLane + index)));
   network_->set_loss_rate(0.0);
@@ -116,90 +223,41 @@ EngineShard::EngineShard(const ShardedConfig& config, std::uint32_t index,
                                               engine_config);
   target_ = net::Endpoint{host_->address(), engine_config.listen_port};
 
-  names_.reserve(config.names);
-  for (std::size_t i = 0; i < config.names; ++i) {
-    names_.push_back(
-        dns::DnsName::parse("name" + std::to_string(i) + ".load.example"));
-  }
-
   swarm_ = udp_->bind_ephemeral();
   swarm_->on_datagram([this](const net::Endpoint&, util::Buffer payload) {
-    on_response(std::move(payload));
+    client_.on_response(payload);
   });
   // Batched mode: one event drains a whole burst of answers through the
-  // same per-response logic (timer cancels amortize into one pass).
+  // same per-response logic.
   swarm_->on_batch([this](std::span<net::Datagram> batch) {
-    for (net::Datagram& datagram : batch) {
-      on_response(std::move(datagram.payload));
+    for (const net::Datagram& datagram : batch) {
+      client_.on_response(datagram.payload);
     }
   });
 
-  arrivals_scheduled_ = arrivals.size();
+  // The slice is in time order, so it queues on one monotone lane; each
+  // push takes the sequence number an at() here would have taken.
+  const std::uint32_t lane =
+      sim_.add_lane(&EngineShard::on_arrival, this, arrivals.size());
   for (const Arrival& arrival : arrivals) {
-    sim_.at(arrival.at, [this, client = arrival.client,
-                         name = arrival.name] { send_query(client, name); });
+    sim_.lane_push(lane, arrival.at,
+                   (std::uint64_t{arrival.client} << 32) | arrival.name);
   }
+  arrivals_scheduled_ = arrivals.size();
 }
 
 void EngineShard::run_until(SimTime deadline) { sim_.run_until(deadline); }
 
-void EngineShard::book_outcome(SimTime sent_at, std::uint64_t outcome) {
-  // Commutative sum — see outcome_digest() for the invariance contract.
-  outcome_digest_ +=
-      splitmix64(config_.seed ^ static_cast<std::uint64_t>(sent_at), outcome);
-}
-
-void EngineShard::send_query(std::uint32_t client, std::uint32_t name_index) {
-  // Transaction ids are a shard-global ring: with a 16-bit space and
-  // short-lived queries, a still-pending id is skipped (deterministically)
-  // rather than clobbered.
-  std::uint16_t id = next_id_;
-  while (pending_.find(id) != pending_.end()) {
-    if (++id == 0) id = 1;
-    if (id == next_id_) {
-      // 65535 in flight: shed this arrival. Counted so the load report
-      // reconciles — sent + shed == arrivals scheduled.
-      ++report_.shed;
-      book_outcome(sim_.now(), kOutcomeShed);
-      return;
-    }
-  }
-  next_id_ = static_cast<std::uint16_t>(id + 1);
-  if (next_id_ == 0) next_id_ = 1;
-
-  dns::Message query = dns::make_query(id, names_[name_index],
-                                       dns::RRType::kA);
-  PendingQuery pending;
-  pending.sent_at = sim_.now();
-  pending.timeout = sim_.schedule(config_.client_timeout, [this, id] {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    book_outcome(it->second.sent_at, kOutcomeTimeout);
-    pending_.erase(it);
-    ++report_.timeouts;
-  });
-  pending_[id] = std::move(pending);
-
-  ++report_.sent;
-  swarm_->send_to_from(target_, client_source(config_, client),
-                       util::Buffer::copy_of(query.encode()));
-}
-
-void EngineShard::on_response(util::Buffer payload) {
-  auto response = dns::Message::decode(payload);
-  if (!response || !response->qr) return;
-  auto it = pending_.find(response->id);
-  if (it == pending_.end()) return;  // late answer after timeout
-  it->second.timeout.cancel();
-  if (response->rcode == dns::RCode::kServFail) {
-    ++report_.servfails;
-    book_outcome(it->second.sent_at, kOutcomeServfail);
-  } else {
-    ++report_.answered;
-    report_.latency_ms.push_back(to_ms(sim_.now() - it->second.sent_at));
-    book_outcome(it->second.sent_at, kOutcomeAnswered);
-  }
-  pending_.erase(it);
+void EngineShard::on_arrival(void* self, std::uint64_t client_and_name) {
+  EngineShard& shard = *static_cast<EngineShard*>(self);
+  std::optional<util::Buffer> query = shard.client_.start_query(
+      static_cast<std::uint32_t>(client_and_name & 0xFFFFFFFFu));
+  if (!query) return;
+  shard.swarm_->send_to_from(
+      shard.target_,
+      client_source(shard.config_,
+                    static_cast<std::uint32_t>(client_and_name >> 32)),
+      std::move(*query));
 }
 
 }  // namespace doxlab::engine

@@ -16,14 +16,20 @@
 // via send_to_from. Replies route back through the client prefix and demux
 // by DNS transaction id, so per-client state is zero bytes — client count
 // scales to millions for free.
+//
+// The per-query client path costs no heap event and no codec work: the
+// arrival slice and the fixed-delay client timeouts each ride a monotone
+// simulator lane (sim/simulator.h), a query is a copy of a pre-encoded
+// per-name image with its id patched in, the pending table is a flat array
+// indexed by DNS id, and answers decode into one reused scratch message.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "dns/message.h"
 #include "dns/packet_cache.h"
 #include "dox/transport.h"
 #include "engine/engine.h"
@@ -99,11 +105,78 @@ net::IpAddress client_source(const ShardedConfig& config, std::uint32_t index);
 /// Which shard owns `source`: splitmix64 over the address, mod shard count.
 std::uint32_t shard_of(const ShardedConfig& config, net::IpAddress source);
 
+/// The swarm client's bookkeeping, apart from the socket: transaction ids,
+/// the pre-encoded query images, client timeouts and the per-query outcome
+/// book. EngineShard hands it arrivals and received datagrams and sends the
+/// bytes it returns.
+class SwarmClient {
+ public:
+  /// Query names are "name<i>.load.example" for i < `names`; every query
+  /// gives up after `timeout`. Registers the timeout lane on `sim`, which
+  /// must outlive the client.
+  SwarmClient(sim::Simulator& sim, std::size_t names, SimTime timeout,
+              std::uint64_t seed);
+
+  SwarmClient(const SwarmClient&) = delete;
+  SwarmClient& operator=(const SwarmClient&) = delete;
+
+  /// Starts a query for name `name_index`: claims the next free
+  /// transaction id, arms the client timeout, and returns the query's wire
+  /// bytes — byte-identical to make_query(id, name, kA).encode(). Returns
+  /// nullopt, and books the arrival as shed, when all 65535 ids are in
+  /// flight.
+  std::optional<util::Buffer> start_query(std::uint32_t name_index);
+
+  /// Books one received datagram. A well-formed response (QR=1) to an
+  /// in-flight id ends that query as answered or SERVFAIL; anything else —
+  /// malformed, truncated, QR=0, an unknown id, or an answer that arrives
+  /// after its query timed out — is ignored.
+  void on_response(std::span<const std::uint8_t> wire);
+
+  /// Queries sent and not yet answered or timed out.
+  std::size_t in_flight() const { return in_flight_; }
+  const LoadReport& report() const { return report_; }
+  /// See EngineShard::outcome_digest.
+  std::uint64_t outcome_digest() const { return outcome_digest_; }
+
+ private:
+  static constexpr SimTime kIdle = -1;  ///< sent_at of a free id
+  struct PendingQuery {
+    SimTime sent_at = kIdle;
+    std::uint64_t timeout = 0;  ///< LaneTicket::position on timeout_lane_
+  };
+
+  enum OutcomeClass : std::uint64_t {
+    kOutcomeAnswered = 1,
+    kOutcomeServfail = 2,
+    kOutcomeTimeout = 3,
+    kOutcomeShed = 4,
+  };
+  void book_outcome(SimTime sent_at, std::uint64_t outcome);
+  static void on_timeout(void* self, std::uint64_t id);
+
+  sim::Simulator& sim_;
+  SimTime timeout_;
+  std::uint64_t seed_;
+  std::uint32_t timeout_lane_;
+  /// Every name's query (id 0), back to back; name i spans
+  /// [image_offsets_[i], image_offsets_[i + 1]).
+  std::vector<std::uint8_t> images_;
+  std::vector<std::uint32_t> image_offsets_;
+  std::vector<PendingQuery> pending_;  ///< indexed by DNS transaction id
+  std::size_t in_flight_ = 0;
+  std::uint16_t next_id_ = 1;
+  dns::Message scratch_;  ///< reused decode target for answers
+  std::uint64_t outcome_digest_ = 0;
+  LoadReport report_;
+};
+
 class EngineShard {
  public:
-  /// Builds the shard's world and pre-schedules its `arrivals` slice.
-  /// `l2` may be null (no shared cache). The ShardedConfig must outlive the
-  /// shard; arrivals are copied into the event queue.
+  /// Builds the shard's world and queues its `arrivals` slice (which must
+  /// be in time order) on the simulator's arrival lane. `l2` may be null
+  /// (no shared cache). The ShardedConfig must outlive the shard; the
+  /// arrivals are copied.
   EngineShard(const ShardedConfig& config, std::uint32_t index,
               std::span<const Arrival> arrivals, dns::SharedPacketCache* l2);
 
@@ -125,7 +198,7 @@ class EngineShard {
     stats.link_queue_peak = links.queued_bytes_max;
     return stats;
   }
-  const LoadReport& report() const { return report_; }
+  const LoadReport& report() const { return client_.report(); }
   std::uint64_t events_executed() const { return sim_.events_executed(); }
   /// True once this shard is past the arrival window with no client query
   /// awaiting an answer: everything left in the event queue is engine
@@ -134,7 +207,7 @@ class EngineShard {
   /// execute in the same order, it just stops barriering for a swarm that
   /// has nothing more to say. Pure function of sim state, so deterministic.
   bool drained() const {
-    return sim_.now() >= config_.duration && pending_.empty();
+    return sim_.now() >= config_.duration && client_.in_flight() == 0;
   }
   std::uint64_t stream_digest() const { return sim_.event_stream_digest(); }
   /// Commutative per-query outcome fingerprint: every terminal outcome
@@ -144,25 +217,11 @@ class EngineShard {
   /// — it changes iff some query's outcome (or send time) changes. The
   /// batch-determinism ctest compares it across --batch-us settings, where
   /// the event-stream digest necessarily differs.
-  std::uint64_t outcome_digest() const { return outcome_digest_; }
+  std::uint64_t outcome_digest() const { return client_.outcome_digest(); }
   std::size_t arrivals_scheduled() const { return arrivals_scheduled_; }
 
  private:
-  struct PendingQuery {
-    SimTime sent_at = 0;
-    sim::Timer timeout;
-  };
-
-  enum OutcomeClass : std::uint64_t {
-    kOutcomeAnswered = 1,
-    kOutcomeServfail = 2,
-    kOutcomeTimeout = 3,
-    kOutcomeShed = 4,
-  };
-  void book_outcome(SimTime sent_at, std::uint64_t outcome);
-
-  void send_query(std::uint32_t client, std::uint32_t name_index);
-  void on_response(util::Buffer payload);
+  static void on_arrival(void* self, std::uint64_t client_and_name);
 
   const ShardedConfig& config_;
   std::uint32_t index_;
@@ -179,12 +238,8 @@ class EngineShard {
   /// Swarm client state: one socket for every client on this shard.
   std::unique_ptr<net::UdpSocket> swarm_;
   net::Endpoint target_;
-  std::vector<dns::DnsName> names_;  ///< pre-parsed query names
-  std::uint16_t next_id_ = 1;
-  std::unordered_map<std::uint16_t, PendingQuery> pending_;
+  SwarmClient client_;
   std::size_t arrivals_scheduled_ = 0;
-  std::uint64_t outcome_digest_ = 0;
-  LoadReport report_;
 };
 
 }  // namespace doxlab::engine

@@ -42,8 +42,11 @@ double thread_cpu_ms() {
 /// The global arrival schedule: the same Poisson process / uniform client
 /// choice / Zipf name draw LoadGenerator performs, generated in one pass so
 /// the offered load is a function of the seed alone — never of the shard
-/// count that will replay it.
-std::vector<Arrival> generate_schedule(const ShardedConfig& config) {
+/// count that will replay it. Each arrival goes straight to the slice of
+/// the shard that owns its client's source address (slices stay in time
+/// order); returns the total number of arrivals.
+std::size_t generate_slices(const ShardedConfig& config,
+                            std::vector<std::vector<Arrival>>& slices) {
   Rng rng(config.seed);
 
   std::vector<double> name_cdf;
@@ -54,11 +57,12 @@ std::vector<Arrival> generate_schedule(const ShardedConfig& config) {
     name_cdf.push_back(total);
   }
 
-  std::vector<Arrival> schedule;
-  schedule.reserve(static_cast<std::size_t>(
-      config.qps * (static_cast<double>(config.duration) / kSecond) * 1.1));
+  const auto expected = static_cast<std::size_t>(
+      config.qps * (static_cast<double>(config.duration) / kSecond) * 1.1);
+  for (auto& slice : slices) slice.reserve(expected / slices.size() + 16);
   const double mean_gap_us =
       static_cast<double>(kSecond) / std::max(config.qps, 1e-9);
+  std::size_t count = 0;
   SimTime at = 0;
   while (true) {
     at += std::max<SimTime>(
@@ -72,9 +76,11 @@ std::vector<Arrival> generate_schedule(const ShardedConfig& config) {
     const auto it = std::upper_bound(name_cdf.begin(), name_cdf.end(), u);
     arrival.name = static_cast<std::uint32_t>(
         std::min<std::size_t>(it - name_cdf.begin(), config.names - 1));
-    schedule.push_back(arrival);
+    slices[shard_of(config, client_source(config, arrival.client))]
+        .push_back(arrival);
+    ++count;
   }
-  return schedule;
+  return count;
 }
 
 }  // namespace
@@ -83,13 +89,8 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   const std::uint32_t n = std::max<std::uint32_t>(1, config.shards);
   const auto wall_start = Clock::now();
 
-  const std::vector<Arrival> schedule = generate_schedule(config);
   std::vector<std::vector<Arrival>> slices(n);
-  for (auto& slice : slices) slice.reserve(schedule.size() / n + 16);
-  for (const Arrival& arrival : schedule) {
-    slices[shard_of(config, client_source(config, arrival.client))]
-        .push_back(arrival);
-  }
+  const std::size_t total_arrivals = generate_slices(config, slices);
 
   dns::SharedPacketCache l2(config.l2_capacity, n);
   dns::SharedPacketCache* l2_ptr = config.l2_capacity > 0 ? &l2 : nullptr;
@@ -104,6 +105,7 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   for (std::uint32_t i = 0; i < n; ++i) {
     shards.push_back(
         std::make_unique<EngineShard>(config, i, slices[i], l2_ptr));
+    slices[i] = {};  // the shard's arrival lane holds its own copy
   }
 
   ShardedResult result;
@@ -185,7 +187,7 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   result.engine.l2_evictions = result.l2.expired_evicted;
   result.engine.l2_entries = result.l2.size;
   result.engine.l2_bytes = result.l2.bytes;
-  result.total_arrivals = schedule.size();
+  result.total_arrivals = total_arrivals;
   result.wall_ms = ms_since(wall_start);
   return result;
 }

@@ -1,9 +1,12 @@
 // The sharded engine coordinator: one scenario spread across all cores.
 //
-// `run_sharded` generates ONE global arrival schedule from the seed (the
-// same Poisson/Zipf process LoadGenerator uses), assigns every simulated
-// client a source address, hashes sources onto shards (splitmix64 — see
-// engine/shard.h), and builds one EngineShard world per shard. The offered
+// `run_sharded` draws ONE global arrival schedule from the seed (the same
+// Poisson/Zipf process LoadGenerator uses), assigns every simulated client
+// a source address, hashes sources onto shards (splitmix64 — see
+// engine/shard.h), and builds one EngineShard world per shard. Each
+// arrival is written straight into its shard's time-ordered slice (no
+// intermediate full schedule), and each shard copies its slice onto its
+// simulator's arrival lane, after which the slice is freed. The offered
 // load is therefore *identical for every shard count*: changing --shards
 // only repartitions the same arrivals.
 //
@@ -87,9 +90,9 @@ struct ShardedResult {
   }
 };
 
-/// Builds the schedule and the shard worlds, runs the epoch loop to
-/// completion (duration + client timeout + settle slack), and returns the
-/// merged result.
+/// Draws the arrival slices and builds the shard worlds, runs the epoch
+/// loop to completion (duration + client timeout + settle slack), and
+/// returns the merged result.
 ShardedResult run_sharded(const ShardedConfig& config);
 
 }  // namespace doxlab::engine

@@ -21,11 +21,30 @@
 // schedule/at are templates so the callable's erasure ops are still known
 // constants where they inline — the compiler flattens the capture move into
 // the slot instead of bouncing through function pointers.
+//
+// Monotone lanes: a stream of events pushed in non-decreasing time order
+// (pre-generated arrivals, fixed-delay client timeouts) need not pay for a
+// slab slot, an EventFn and a heap sift each. add_lane() registers one
+// dispatch function plus a context pointer; lane_push() appends a
+// (time, seq, u64 payload) record to the lane's FIFO ring and returns a
+// LaneTicket that cancels it in O(1). Lane records draw their sequence
+// number from the same counter at() uses, and the loop fires the smallest
+// (time, seq) across the heap top and every lane head — so moving an event
+// stream from at() onto a lane leaves the fired order, events_executed()
+// and event_stream_digest() exactly as they were. A cancelled record is
+// skipped silently (never executed, digested or counted pending), exactly
+// like a cancelled Timer. Cancelled records are dropped from a lane's head
+// as soon as the loop looks at it and the ring slots behind the head are
+// reused, so a lane holds only the window from its oldest live record to
+// its newest push. A simulator that registers no lane runs the plain heap
+// loop behind one branch.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -182,6 +201,65 @@ class Timer {
   std::uint32_t gen_ = 0;
 };
 
+/// A lane's dispatch function: called with the lane's context pointer and
+/// the fired record's payload.
+using LaneHandler = void (*)(void* context, std::uint64_t payload);
+
+/// Cancellation handle for one lane record (see Simulator::lane_push). A
+/// plain value: cancelling through it after the record fired, or twice, is
+/// a no-op. A default-constructed ticket refers to no record.
+struct LaneTicket {
+  std::uint64_t position = ~std::uint64_t{0};  ///< absolute index in lane
+  std::uint32_t lane = 0;
+};
+
+namespace detail {
+
+/// One monotone lane: a FIFO ring of (time, seq, payload) records indexed
+/// by absolute position (position & mask), so tickets stay valid while
+/// the ring grows and slots behind the head are reused.
+struct Lane {
+  struct Record {
+    SimTime time;
+    std::uint64_t seq;  ///< kCancelled once cancelled
+    std::uint64_t payload;
+  };
+  static constexpr std::uint64_t kCancelled = ~std::uint64_t{0};
+
+  LaneHandler handler = nullptr;
+  void* context = nullptr;
+  std::vector<Record> ring;  ///< power-of-two size (or empty)
+  std::uint64_t head = 0;    ///< position of the oldest queued record
+  std::uint64_t tail = 0;    ///< position the next push takes
+  SimTime last_time = 0;     ///< time of the newest push (monotone bound)
+
+  Record& at(std::uint64_t position) {
+    return ring[position & (ring.size() - 1)];
+  }
+
+  /// The oldest live record, dropping cancelled ones from the head on the
+  /// way; nullptr if none is queued.
+  Record* front() {
+    while (head != tail) {
+      Record& record = at(head);
+      if (record.seq != kCancelled) return &record;
+      ++head;
+    }
+    return nullptr;
+  }
+
+  /// Doubles the ring, re-slotting the queued window by absolute position.
+  void grow() {
+    std::vector<Record> next(ring.empty() ? 16 : ring.size() * 2);
+    for (std::uint64_t p = head; p != tail; ++p) {
+      next[p & (next.size() - 1)] = at(p);
+    }
+    ring.swap(next);
+  }
+};
+
+}  // namespace detail
+
 /// The event loop. One instance drives one experiment.
 class Simulator {
  public:
@@ -229,6 +307,59 @@ class Simulator {
     return Timer(core_, idx, slot.gen);
   }
 
+  /// Registers a monotone lane whose records all fire through
+  /// `handler(context, payload)`, and returns its id. Registering consumes
+  /// no sequence number. `reserve` pre-sizes the ring for that many queued
+  /// records (a lane filled up front need not regrow).
+  std::uint32_t add_lane(LaneHandler handler, void* context,
+                         std::size_t reserve = 0) {
+    detail::Lane& lane = lanes_.emplace_back();
+    lane.handler = handler;
+    lane.context = context;
+    if (reserve > 0) lane.ring.resize(std::bit_ceil(reserve));
+    return static_cast<std::uint32_t>(lanes_.size() - 1);
+  }
+
+  /// Appends a record to `lane` at absolute `time` (clamped to be >= now()),
+  /// taking the next sequence number exactly as at() would. Times must be
+  /// non-decreasing per lane: a push earlier than the lane's newest record
+  /// throws std::invalid_argument rather than firing out of order.
+  LaneTicket lane_push(std::uint32_t lane_id, SimTime time,
+                       std::uint64_t payload) {
+    detail::Lane& lane = lanes_[lane_id];
+    if (time < now_) time = now_;
+    if (time < lane.last_time) {
+      throw std::invalid_argument(
+          "sim lane push earlier than the lane's newest record");
+    }
+    if (lane.tail - lane.head == lane.ring.size()) lane.grow();
+    lane.at(lane.tail) =
+        detail::Lane::Record{time, core_->next_seq++, payload};
+    lane.last_time = time;
+    ++lane_live_;
+    return LaneTicket{lane.tail++, lane_id};
+  }
+
+  /// Cancels a queued lane record. Returns false if the ticket's record
+  /// already fired or was already cancelled.
+  bool lane_cancel(LaneTicket ticket) {
+    if (ticket.lane >= lanes_.size()) return false;
+    detail::Lane& lane = lanes_[ticket.lane];
+    if (ticket.position < lane.head || ticket.position >= lane.tail) {
+      return false;
+    }
+    detail::Lane::Record& record = lane.at(ticket.position);
+    if (record.seq == detail::Lane::kCancelled) return false;
+    record.seq = detail::Lane::kCancelled;
+    --lane_live_;
+    return true;
+  }
+
+  /// Ring slots currently allocated for `lane` (storage-bound test hook).
+  std::size_t lane_capacity(std::uint32_t lane_id) const {
+    return lanes_[lane_id].ring.size();
+  }
+
   /// Runs until the event queue is empty.
   void run() {
     while (step_before(kSimTimeNever)) {
@@ -258,8 +389,8 @@ class Simulator {
   /// shards.
   std::uint64_t event_stream_digest() const { return stream_digest_; }
 
-  /// Number of live (not cancelled) pending events.
-  std::size_t pending() const { return core_->live; }
+  /// Number of live (not cancelled) pending events, lane records included.
+  std::size_t pending() const { return core_->live + lane_live_; }
 
   /// Queue entries including lazily-cancelled ones (compaction test hook).
   std::size_t queued_entries() const { return core_->heap.size(); }
@@ -268,10 +399,16 @@ class Simulator {
   std::uint64_t compactions() const { return core_->compactions; }
 
  private:
-  /// Pops and runs the earliest live event if its time is <= `deadline`
-  /// (skipping and reclaiming cancelled entries on the way). Returns false
-  /// if nothing fired. Shared by step(), run() and run_until().
+  /// Pops and runs the earliest live event — heap top or lane head, by
+  /// (time, seq) — if its time is <= `deadline` (skipping and reclaiming
+  /// cancelled entries on the way). Returns false if nothing fired. Shared
+  /// by step(), run() and run_until().
   bool step_before(SimTime deadline) {
+    if (!lanes_.empty()) {
+      if (detail::Lane* lane = earliest_lane()) {
+        return fire_lane(*lane, deadline);
+      }
+    }
     detail::SimCore& core = *core_;
     while (!core.heap.empty()) {
       const detail::SimCore::QueueEntry& top = core.heap.front();
@@ -283,29 +420,83 @@ class Simulator {
       }
       if (top.time > deadline) return false;
       const auto entry = core.pop();
-      now_ = entry.time;
       // Move the closure out and free the slot *before* invoking so that
       // re-entrant scheduling from within the callback sees a consistent
       // slab (and cancelling the running event's own Timer is a no-op).
       EventFn fn = std::move(core.slots[entry.slot].fn);
       core.release(entry.slot);
       --core.live;
-      ++executed_;
-      // Two multiplies and a xor per event: noise next to the heap pop,
-      // and it buys a run-to-run fingerprint of the whole schedule.
-      stream_digest_ ^= static_cast<std::uint64_t>(entry.time) +
-                        0x9E3779B97F4A7C15ull * (entry.seq + 1);
-      stream_digest_ *= 0xBF58476D1CE4E5B9ull;
+      record_fired(entry.time, entry.seq);
       fn.invoke_consume();
       return true;
     }
     return false;
   }
 
+  /// The lane whose head fires before the heap's first live entry, or
+  /// nullptr if that entry is first or nothing is queued on a lane.
+  /// Cancelled entries are dropped from the heap top on the way.
+  detail::Lane* earliest_lane() {
+    detail::SimCore& core = *core_;
+    while (!core.heap.empty() &&
+           core.slots[core.heap.front().slot].cancelled) {
+      const auto entry = core.pop();
+      core.release(entry.slot);
+      --core.dead;
+    }
+    detail::Lane* best = nullptr;
+    const detail::Lane::Record* best_record = nullptr;
+    for (detail::Lane& lane : lanes_) {
+      const detail::Lane::Record* record = lane.front();
+      if (record != nullptr &&
+          (best_record == nullptr || fires_before(*record, *best_record))) {
+        best = &lane;
+        best_record = record;
+      }
+    }
+    if (best_record == nullptr || core.heap.empty()) return best;
+    const detail::SimCore::QueueEntry& top = core.heap.front();
+    const bool lane_first =
+        best_record->time != top.time ? best_record->time < top.time
+                                      : best_record->seq < top.seq;
+    return lane_first ? best : nullptr;
+  }
+
+  static bool fires_before(const detail::Lane::Record& a,
+                           const detail::Lane::Record& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
+
+  /// Fires `lane`'s (live) head record if it is due by `deadline`. The
+  /// record is copied out and the head advanced before the handler runs,
+  /// so the handler may push onto (and grow) any lane.
+  bool fire_lane(detail::Lane& lane, SimTime deadline) {
+    const detail::Lane::Record record = lane.at(lane.head);
+    if (record.time > deadline) return false;
+    ++lane.head;
+    --lane_live_;
+    record_fired(record.time, record.seq);
+    lane.handler(lane.context, record.payload);
+    return true;
+  }
+
+  /// Advances the clock to a fired event and folds it into the counters.
+  void record_fired(SimTime time, std::uint64_t seq) {
+    now_ = time;
+    ++executed_;
+    // Two multiplies and a xor per event: noise next to the heap pop,
+    // and it buys a run-to-run fingerprint of the whole schedule.
+    stream_digest_ ^=
+        static_cast<std::uint64_t>(time) + 0x9E3779B97F4A7C15ull * (seq + 1);
+    stream_digest_ *= 0xBF58476D1CE4E5B9ull;
+  }
+
   SimTime now_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t stream_digest_ = 0x6A09E667F3BCC909ull;  // sqrt(2) seed
   detail::CorePtr core_;
+  std::vector<detail::Lane> lanes_;
+  std::size_t lane_live_ = 0;  // queued, not cancelled lane records
 };
 
 }  // namespace doxlab::sim

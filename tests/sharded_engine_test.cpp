@@ -2,9 +2,14 @@
 // the offered load must be invariant under the shard count, repeated runs
 // must be bit-identical (event-stream digests), the merged result must equal
 // the sum of its shards, and the shared L2 must actually carry answers
-// across shards.
+// across shards. The swarm client's own bookkeeping (query images, junk and
+// late answers, id-space shedding) is tested directly through SwarmClient.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "dns/message.h"
 #include "engine/sharded.h"
 #include "policy/policy.h"
 
@@ -128,6 +133,106 @@ TEST(ShardedEngine, ShardOfIsStableAndInRange) {
     EXPECT_LT(shard, config.shards);
     EXPECT_EQ(shard, shard_of(config, source));  // pure function
   }
+}
+
+std::uint16_t id_of(const util::Buffer& wire) {
+  return static_cast<std::uint16_t>((wire.data()[0] << 8) | wire.data()[1]);
+}
+
+std::vector<std::uint8_t> bytes_of(const util::Buffer& wire) {
+  return {wire.data(), wire.data() + wire.size()};
+}
+
+TEST(SwarmClient, QueryImagesMatchTheCodec) {
+  // Every spliced per-name image, id patched in, must equal what the codec
+  // encodes for that (id, name) — for every name of the long-tail workload.
+  constexpr std::uint32_t kNames = 20000;
+  sim::Simulator sim;
+  SwarmClient client(sim, kNames, 8 * kSecond, 7);
+  for (std::uint32_t name = 0; name < kNames; ++name) {
+    const std::optional<util::Buffer> wire = client.start_query(name);
+    ASSERT_TRUE(wire.has_value());
+    const std::uint16_t id = id_of(*wire);
+    EXPECT_EQ(id, name + 1);
+    ASSERT_EQ(bytes_of(*wire),
+              dns::make_query(id,
+                              dns::DnsName::parse("name" +
+                                                  std::to_string(name) +
+                                                  ".load.example"),
+                              dns::RRType::kA)
+                  .encode())
+        << "name " << name;
+  }
+}
+
+TEST(SwarmClient, JunkAndLateAnswersAreIgnoredAndTimeOut) {
+  sim::Simulator sim;
+  SwarmClient client(sim, 4, kSecond, 7);
+  const util::Buffer query = *client.start_query(0);
+  const dns::Message question = *dns::Message::decode(query);
+  const std::vector<std::uint8_t> answer =
+      dns::make_response(question).encode();
+
+  const std::vector<std::uint8_t> truncated(answer.begin(),
+                                            answer.begin() + 20);
+  const std::vector<std::uint8_t> garbage = {0xFF, 0x00, 0x13};
+  dns::Message stranger = dns::make_response(question);
+  stranger.id = static_cast<std::uint16_t>(question.id + 100);
+  client.on_response(truncated);
+  client.on_response(garbage);
+  client.on_response({});
+  client.on_response(query);  // QR=0: the query echoed back
+  client.on_response(stranger.encode());  // an id nobody asked with
+  EXPECT_EQ(client.in_flight(), 1u);
+  EXPECT_EQ(client.report().answered + client.report().servfails, 0u);
+
+  sim.run();  // the timeout fires
+  EXPECT_EQ(client.report().timeouts, 1u);
+  EXPECT_EQ(client.in_flight(), 0u);
+  client.on_response(answer);  // late: after its query timed out
+  EXPECT_EQ(client.report().answered, 0u);
+  EXPECT_EQ(client.report().timeouts, 1u);
+
+  // Controls: a timely answer and a SERVFAIL each end their query and
+  // disarm its timeout.
+  const util::Buffer ok_query = *client.start_query(1);
+  const util::Buffer fail_query = *client.start_query(2);
+  sim.run_until(sim.now() + 5 * kMillisecond);
+  client.on_response(
+      dns::make_response(*dns::Message::decode(ok_query)).encode());
+  client.on_response(dns::make_response(*dns::Message::decode(fail_query),
+                                        dns::RCode::kServFail)
+                         .encode());
+  EXPECT_EQ(client.in_flight(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run();
+  const LoadReport& report = client.report();
+  EXPECT_EQ(report.sent, 3u);
+  EXPECT_EQ(report.answered, 1u);
+  EXPECT_EQ(report.servfails, 1u);
+  EXPECT_EQ(report.timeouts, 1u);
+  EXPECT_TRUE(report.complete());
+  ASSERT_EQ(report.latency_ms.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.latency_ms[0], 5.0);
+}
+
+TEST(SwarmClient, ShedsOnceEveryIdIsInFlight) {
+  sim::Simulator sim;
+  SwarmClient client(sim, 4, 8 * kSecond, 7);
+  constexpr std::uint64_t kIds = 65535;
+  for (std::uint64_t i = 0; i < kIds; ++i) {
+    ASSERT_TRUE(client.start_query(static_cast<std::uint32_t>(i % 4)));
+  }
+  EXPECT_EQ(client.in_flight(), kIds);
+  EXPECT_FALSE(client.start_query(0).has_value());
+  const std::uint64_t arrivals = kIds + 1;
+  EXPECT_EQ(client.report().shed, 1u);
+  EXPECT_EQ(client.report().sent + client.report().shed, arrivals);
+
+  sim.run();  // every query times out, freeing the id space
+  EXPECT_EQ(client.report().timeouts, kIds);
+  EXPECT_TRUE(client.report().complete());
+  EXPECT_TRUE(client.start_query(1).has_value());
 }
 
 TEST(EngineStats, AddSumsCounters) {

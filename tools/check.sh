@@ -15,6 +15,8 @@ echo "== regular build (${root}/build) =="
 cmake -B "$root/build" -S "$root" >/dev/null
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+echo "== hot-path smoke (event loop, sim lanes, byte path) =="
+"$root/build/bench/micro_components" --smoke
 echo "== sharded engine scaling smoke =="
 "$root/build/bench/engine_scale" --smoke
 echo "== tiered cache / warm-restart smoke =="
@@ -29,6 +31,12 @@ echo "== sanitizer build (${root}/build-sanitize, ASan+UBSan) =="
 cmake -B "$root/build-sanitize" -S "$root" -DDOXLAB_SANITIZE=ON >/dev/null
 cmake --build "$root/build-sanitize" -j "$jobs"
 ctest --test-dir "$root/build-sanitize" --output-on-failure -j "$jobs"
+# The ctest run above covers the lane property/storage tests, the swarm
+# client tests and the golden event streams; a full-size hot engine run
+# also wraps pending transaction ids and grows the timeout lane's ring
+# under ASan.
+"$root/build-sanitize/tools/doxperf" engine --shards=2 --clients=100000 \
+      --qps=50000 --seconds=2 --wire-cache=4096 >/dev/null
 # Snapshot-tier warm start under ASan: the second run replays the log the
 # first one wrote (append + replay + compaction paths), then a churn
 # campaign with a mid-run restart exercises the two-world teardown.
