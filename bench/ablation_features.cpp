@@ -175,9 +175,10 @@ int main(int argc, char** argv) {
     TestbedConfig tfo_world = base;
     tfo_world.population.force_supports_tfo = true;
     Testbed testbed(tfo_world);
+    const scan::Population& population = testbed.population();
     for (auto& vp : testbed.vantage_points()) {
-      for (const auto& resolver : testbed.population().resolvers) {
-        vp->tcp->learn_tfo_cookie(resolver->profile().address);
+      for (std::size_t i = 0; i < population.size(); ++i) {
+        vp->tcp->learn_tfo_cookie(population.profile(i).address);
       }
     }
     SingleQueryConfig tcp_only;

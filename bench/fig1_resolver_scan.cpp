@@ -34,14 +34,15 @@ int main(int argc, char** argv) {
                       full ? 1216 : config.verified_dox * 1216 / 313);
   Rng pop_rng = rng.fork();
   Population population = build_population(network, config, pop_rng);
+  population.bring_up_all();  // the scan probes every planted resolver
 
   auto& scan_host = network.add_host(
       "scanner-tum", net::IpAddress::from_octets(10, 9, 9, 9),
       {48.26, 11.67}, net::Continent::kEurope);  // Munich, like the paper
 
   std::vector<net::IpAddress> candidates;
-  for (const auto& resolver : population.resolvers) {
-    candidates.push_back(resolver->profile().address);
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    candidates.push_back(population.profile(i).address);
   }
   // Dark space: addresses that never answer (the scan's common case).
   const int dark = static_cast<int>(candidates.size()) * 2;
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
   int as_count = 0;
   std::map<int, bool> asn_seen;
   for (std::size_t index : population.verified) {
-    const auto& profile = population.resolvers[index]->profile();
+    const auto& profile = population.profile(index);
     ++by_as[profile.as_name];
     if (!asn_seen[profile.as_number]) {
       asn_seen[profile.as_number] = true;

@@ -10,13 +10,19 @@
 // send/receive path (util::Buffer + in-place framing + scratch decode) vs
 // the seed's copy chain, writing BENCH_byte_path.json; it also counts heap
 // allocations per forwarded cached query through the full forwarder engine.
+// The campaign-world suite times one paper_campaign cell's world: a
+// `measure::Testbed` over 48 verified resolvers, built and torn down,
+// writing BENCH_campaign_world.json.
 // Extra flags (stripped before google-benchmark sees them):
-//   --smoke        run only the sim-core + byte-path suites, briefly, and
-//                  exit non-zero on a hot-path regression (CI guard)
-//   --json[=PATH]  write BENCH_sim_core.json (default name) and
-//                  BENCH_byte_path.json after the run
+//   --smoke        run only the sim-core, byte-path and campaign-world
+//                  suites, briefly, and exit non-zero on a regression (CI
+//                  guard)
+//   --json[=PATH]  write BENCH_sim_core.json (default name),
+//                  BENCH_byte_path.json and BENCH_campaign_world.json after
+//                  the run
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -815,6 +821,118 @@ void report_byte_path(const BytePathResults& r, bench::JsonReporter& json) {
               r.engine_wire_allocs_per_query);
 }
 
+// ---------------------------------------------------------------------------
+// campaign-world suite: one campaign cell's testbed (48 verified resolvers,
+// campaign-seeded population, per-cell run seed, as the campaign runner
+// configures it), built and torn down, reported to
+// BENCH_campaign_world.json. A cell measures one resolver, so the build
+// must bring none up. The eager twin brings every resolver up right after
+// construction — the world every cell built before resolvers came up on
+// demand — so before/after come from the same run on the same host.
+
+/// Heap allocations per build of the eager world, recorded from the
+/// builder that constructed every resolver with the population; the gate
+/// allows at most kWorldAllocGate of it.
+constexpr double kEagerWorldAllocsPerBuild = 2252;
+constexpr double kWorldAllocGate = 0.25;
+
+struct WorldSample {
+  double build_us_p50 = 0;
+  double teardown_us_p50 = 0;
+  double allocs_per_build = 0;   // global operator new count, construction
+  std::size_t resolvers_up = 0;  // resolver hosts up after construction
+};
+
+double p50(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+WorldSample measure_campaign_world(int builds, bool eager) {
+  measure::TestbedConfig config;
+  config.population_seed = 42;
+  config.population.verified_dox = 48;
+  std::vector<double> build_us, teardown_us;
+  std::uint64_t allocs = 0;
+  WorldSample sample;
+  for (int b = 0; b < builds; ++b) {
+    config.seed = splitmix64(42, static_cast<std::uint64_t>(b));
+    const std::uint64_t allocs0 = g_heap_allocs.load();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto testbed = std::make_unique<measure::Testbed>(config);
+    if (eager) testbed->population().bring_up_all();
+    const auto t1 = std::chrono::steady_clock::now();
+    allocs += g_heap_allocs.load() - allocs0;
+    const scan::Population& population = testbed->population();
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      sample.resolvers_up +=
+          testbed->network().find_host(population.profile(i).address) !=
+          nullptr;
+    }
+    const auto t2 = std::chrono::steady_clock::now();
+    testbed.reset();
+    const auto t3 = std::chrono::steady_clock::now();
+    build_us.push_back(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    teardown_us.push_back(
+        std::chrono::duration<double, std::micro>(t3 - t2).count());
+  }
+  sample.build_us_p50 = p50(build_us);
+  sample.teardown_us_p50 = p50(teardown_us);
+  sample.allocs_per_build = static_cast<double>(allocs) / builds;
+  return sample;
+}
+
+struct WorldResults {
+  WorldSample on_demand, eager;
+};
+
+/// Keeps the faster build timing; host counts add up over every pass.
+void keep_best(WorldSample& best, const WorldSample& sample) {
+  const std::size_t up = best.resolvers_up + sample.resolvers_up;
+  if (best.build_us_p50 == 0 || sample.build_us_p50 < best.build_us_p50) {
+    best = sample;
+  }
+  best.resolvers_up = up;
+}
+
+WorldResults run_campaign_world_suite(int builds) {
+  constexpr int kPasses = 3;  // best-of-N to shed scheduler noise
+  WorldResults r;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    keep_best(r.on_demand, measure_campaign_world(builds, /*eager=*/false));
+    keep_best(r.eager, measure_campaign_world(builds, /*eager=*/true));
+  }
+  return r;
+}
+
+void report_campaign_world(const WorldResults& r, bench::JsonReporter& json) {
+  const WorldSample& w = r.on_demand;
+  bench::banner("campaign-world: one cell's testbed, 48 verified resolvers");
+  std::printf("testbed build      %8.1f us p50  (eager %8.1f)\n",
+              w.build_us_p50, r.eager.build_us_p50);
+  std::printf("testbed teardown   %8.1f us p50  (eager %8.1f)\n",
+              w.teardown_us_p50, r.eager.teardown_us_p50);
+  std::printf("allocations/build  %8.1f        (eager %8.1f; gate %.2fx of "
+              "the recorded %.0f)\n",
+              w.allocs_per_build, r.eager.allocs_per_build, kWorldAllocGate,
+              kEagerWorldAllocsPerBuild);
+  std::printf("resolver hosts up after construction: %zu\n", w.resolvers_up);
+  json.metric("testbed_build", "build_us_p50", w.build_us_p50);
+  json.metric("testbed_build", "build_us_p50_eager", r.eager.build_us_p50);
+  json.metric("testbed_build", "teardown_us_p50", w.teardown_us_p50);
+  json.metric("testbed_build", "teardown_us_p50_eager",
+              r.eager.teardown_us_p50);
+  json.metric("testbed_build", "heap_allocs_per_build", w.allocs_per_build);
+  json.metric("testbed_build", "heap_allocs_per_build_eager",
+              r.eager.allocs_per_build);
+  json.metric("testbed_build", "heap_allocs_per_build_eager_recorded",
+              kEagerWorldAllocsPerBuild);
+  json.metric("testbed_build", "gate_allocs_vs_eager_max", kWorldAllocGate);
+  json.metric("testbed_build", "resolver_hosts_up",
+              static_cast<double>(w.resolvers_up));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -842,10 +960,13 @@ int main(int argc, char** argv) {
     // committed baselines (>=2x) to keep noisy shared runners from flaking.
     const SimCoreResults r = run_sim_core_suite(/*trials=*/300);
     const BytePathResults b = run_byte_path_suite(/*trials=*/3000);
+    const WorldResults world = run_campaign_world_suite(/*builds=*/300);
     bench::JsonReporter json;
     report_sim_core(r, json);
     bench::JsonReporter byte_json;
     report_byte_path(b, byte_json);
+    bench::JsonReporter world_json;
+    report_campaign_world(world, world_json);
     if (write_json && !json.write_file(json_path)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
       return 1;
@@ -917,6 +1038,18 @@ int main(int argc, char** argv) {
                    lane_ratio, kLaneGate, r.timeout_lane.allocs_per_op);
       ok = false;
     }
+    const WorldSample& w = world.on_demand;
+    if (w.allocs_per_build > kWorldAllocGate * kEagerWorldAllocsPerBuild ||
+        w.resolvers_up != 0) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: campaign-cell testbed build takes %.1f heap "
+                   "allocations (gate %.0f) and left %zu resolver hosts up "
+                   "(gate 0)\n",
+                   w.allocs_per_build,
+                   kWorldAllocGate * kEagerWorldAllocsPerBuild,
+                   w.resolvers_up);
+      ok = false;
+    }
     std::printf("\nhot-path smoke: %s\n", ok ? "OK" : "REGRESSION");
     return ok ? 0 : 1;
   }
@@ -935,6 +1068,9 @@ int main(int argc, char** argv) {
   const BytePathResults b = run_byte_path_suite(/*trials=*/20000);
   bench::JsonReporter byte_json;
   report_byte_path(b, byte_json);
+  const WorldResults world = run_campaign_world_suite(/*builds=*/2000);
+  bench::JsonReporter world_json;
+  report_campaign_world(world, world_json);
   if (write_json) {
     if (!json.write_file(json_path)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
@@ -946,6 +1082,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("byte-path baseline -> BENCH_byte_path.json\n");
+    if (!world_json.write_file("BENCH_campaign_world.json")) {
+      std::fprintf(stderr, "failed to write BENCH_campaign_world.json\n");
+      return 1;
+    }
+    std::printf("campaign-world baseline -> BENCH_campaign_world.json\n");
   }
   return 0;
 }

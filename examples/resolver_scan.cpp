@@ -25,14 +25,15 @@ int main() {
   Rng pop_rng = rng.fork();
   scan::Population population =
       scan::build_population(network, config, pop_rng);
+  population.bring_up_all();  // the scan probes every planted resolver
 
   auto& scanner_host = network.add_host(
       "scanner", net::IpAddress::from_octets(10, 9, 9, 9), {48.26, 11.67},
       net::Continent::kEurope);
 
   std::vector<net::IpAddress> candidates;
-  for (const auto& resolver : population.resolvers) {
-    candidates.push_back(resolver->profile().address);
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    candidates.push_back(population.profile(i).address);
   }
   for (int i = 0; i < 100; ++i) {  // dark space
     candidates.push_back(net::IpAddress(0x0AC00000u + i));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "dns/message.h"
@@ -17,9 +18,19 @@ std::string_view attack_kind_name(AttackKind kind) {
   return "?";
 }
 
+void check_load_shape(std::size_t clients, std::size_t names) {
+  if (clients == 0) {
+    throw std::invalid_argument("load needs at least one client (clients=0)");
+  }
+  if (names == 0) {
+    throw std::invalid_argument("load needs at least one name (names=0)");
+  }
+}
+
 LoadGenerator::LoadGenerator(sim::Simulator& sim, net::UdpStack& udp,
                              LoadConfig config)
     : sim_(sim), config_(std::move(config)), rng_(config_.seed) {
+  check_load_shape(config_.clients, config_.names);
   clients_.reserve(config_.clients);
   for (std::size_t i = 0; i < config_.clients; ++i) {
     auto client = std::make_unique<Client>();

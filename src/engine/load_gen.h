@@ -136,6 +136,11 @@ struct LoadReport {
   }
 };
 
+/// Throws std::invalid_argument unless a load has at least one client and
+/// one name: every arrival draws one of each. Shared by LoadGenerator and
+/// the sharded engine's arrival schedule.
+void check_load_shape(std::size_t clients, std::size_t names);
+
 class LoadGenerator {
  public:
   /// Creates the client sockets and pre-schedules every arrival on `sim`.

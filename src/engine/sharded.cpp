@@ -47,6 +47,7 @@ double thread_cpu_ms() {
 /// order); returns the total number of arrivals.
 std::size_t generate_slices(const ShardedConfig& config,
                             std::vector<std::vector<Arrival>>& slices) {
+  check_load_shape(config.clients, config.names);
   Rng rng(config.seed);
 
   std::vector<double> name_cdf;

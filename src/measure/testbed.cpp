@@ -38,10 +38,9 @@ Testbed::Testbed(TestbedConfig config)
 }
 
 net::Endpoint Testbed::resolver_endpoint(std::size_t resolver_index,
-                                         dox::DnsProtocol protocol) const {
-  return net::Endpoint{
-      population_.resolvers[resolver_index]->profile().address,
-      dox::default_port(protocol)};
+                                         dox::DnsProtocol protocol) {
+  return net::Endpoint{population_.resolver(resolver_index).profile().address,
+                       dox::default_port(protocol)};
 }
 
 web::Browser::OriginRttFn Testbed::origin_rtt_fn(const VantagePoint& vp) {

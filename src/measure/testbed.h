@@ -79,9 +79,10 @@ class Testbed {
   Rng& rng() { return rng_; }
   const TestbedConfig& config() const { return config_; }
 
-  /// Resolver endpoint for a protocol.
+  /// Resolver endpoint for a protocol. Brings the resolver up on the
+  /// network if nothing has asked for it yet (`scan::Population`).
   net::Endpoint resolver_endpoint(std::size_t resolver_index,
-                                  dox::DnsProtocol protocol) const;
+                                  dox::DnsProtocol protocol);
 
   /// Deterministic per-(vantage point, origin) web-server RTT: most origins
   /// are CDN-served nearby; remote continents see inflated values.

@@ -147,6 +147,13 @@ struct DoxResolver::DohConn {
 
 // ------------------------------------------------------------- construction
 
+// Construction must stay free of observable side effects beyond the host
+// and its bound sockets: it schedules no simulator event and draws from no
+// stream but the resolver's own `rng`, and the host goes into the
+// network's address map, which is only ever looked up, never iterated.
+// `scan::Population` relies on this to bring resolvers up on demand, at
+// any simulated time, bit-identically to building them all up front
+// (tests/scan_test.cpp, `Population.BringUpIsSideEffectFree`).
 DoxResolver::DoxResolver(net::Network& network, const ResolverProfile& profile,
                          Rng rng)
     : network_(network), profile_(profile), rng_(std::move(rng)) {
@@ -206,6 +213,8 @@ void DoxResolver::handle_query(dox::DnsProtocol protocol,
 
   const dns::Question& question = query.questions.front();
   auto& sim = network_.simulator();
+  // The reserved .invalid TLD never resolves (RFC 2606).
+  static const dns::DnsName kInvalidTld = dns::DnsName::parse("invalid");
 
   auto finish = [this, protocol, query, respond = std::move(respond),
                  question](std::vector<dns::ResourceRecord> records,
@@ -237,10 +246,9 @@ void DoxResolver::handle_query(dox::DnsProtocol protocol,
   auto cached = cache_.lookup(question.name, question.type, sim.now());
   if (cached) {
     // NXDOMAIN entries are cached as empty record sets for .invalid names.
-    const dns::RCode rcode =
-        question.name.is_subdomain_of(dns::DnsName::parse("invalid"))
-            ? dns::RCode::kNXDomain
-            : dns::RCode::kNoError;
+    const dns::RCode rcode = question.name.is_subdomain_of(kInvalidTld)
+                                 ? dns::RCode::kNXDomain
+                                 : dns::RCode::kNoError;
     sim.schedule(profile_.processing_delay,
                  [finish, rcode, records = std::move(*cached)]() mutable {
                    finish(std::move(records), rcode);
@@ -257,9 +265,7 @@ void DoxResolver::handle_query(dox::DnsProtocol protocol,
       profile_.processing_delay + recursion, [this, finish, question] {
         std::vector<dns::ResourceRecord> records;
         dns::RCode rcode = dns::RCode::kNoError;
-        if (question.name.is_subdomain_of(
-                dns::DnsName::parse("invalid"))) {
-          // The reserved .invalid TLD never resolves (RFC 2606).
+        if (question.name.is_subdomain_of(kInvalidTld)) {
           rcode = dns::RCode::kNXDomain;
         } else if (question.type == dns::RRType::kA ||
                    question.type == dns::RRType::kAAAA) {

@@ -72,14 +72,28 @@ const std::vector<std::pair<net::Continent, int>>& verified_continent_quota() {
 int Population::verified_on(net::Continent c) const {
   int count = 0;
   for (std::size_t index : verified) {
-    if (resolvers[index]->profile().continent == c) ++count;
+    if (members_[index].profile.continent == c) ++count;
   }
   return count;
+}
+
+resolver::DoxResolver& Population::resolver(std::size_t index) {
+  Member& member = members_.at(index);
+  if (!member.instance) {
+    member.instance = std::make_unique<::doxlab::resolver::DoxResolver>(
+        *network_, member.profile, Rng(member.seed));
+  }
+  return *member.instance;
+}
+
+void Population::bring_up_all() {
+  for (std::size_t i = 0; i < members_.size(); ++i) resolver(i);
 }
 
 Population build_population(net::Network& network, const PopulationConfig& cfg,
                             Rng& rng) {
   Population population;
+  population.network_ = &network;
   const double scale = static_cast<double>(cfg.verified_dox) / 313.0;
   std::uint32_t next_address = cfg.base_address;
   std::uint64_t next_secret = 0xD0C0'0001;
@@ -149,9 +163,9 @@ Population build_population(net::Network& network, const PopulationConfig& cfg,
         1, static_cast<int>(std::lround(quota * scale)));
     for (int i = 0; i < scaled; ++i) {
       auto profile = make_profile(continent, /*verified=*/true);
-      population.verified.push_back(population.resolvers.size());
-      population.resolvers.push_back(std::make_unique<resolver::DoxResolver>(
-          network, profile, rng.fork()));
+      population.verified.push_back(population.members_.size());
+      const std::uint64_t seed = rng.fork_seed();
+      population.members_.push_back({std::move(profile), seed, nullptr});
     }
   }
 
@@ -159,8 +173,7 @@ Population build_population(net::Network& network, const PopulationConfig& cfg,
     // The remaining DoQ resolvers with partial support. Per-protocol
     // support among the non-verified 903 (at paper scale): DoUDP 235,
     // DoTCP 393, DoT 836, DoH 419.
-    const int verified_count =
-        static_cast<int>(population.resolvers.size());
+    const int verified_count = static_cast<int>(population.size());
     const int extra = std::max(0, cfg.total_doq - verified_count);
     const double p_udp = 235.0 / 903.0;
     const double p_tcp = 393.0 / 903.0;
@@ -185,8 +198,8 @@ Population build_population(net::Network& network, const PopulationConfig& cfg,
           profile.supports_dot && profile.supports_doh) {
         profile.supports_doudp = false;  // DoUDP support is the rarest
       }
-      population.resolvers.push_back(std::make_unique<resolver::DoxResolver>(
-          network, profile, rng.fork()));
+      const std::uint64_t seed = rng.fork_seed();
+      population.members_.push_back({std::move(profile), seed, nullptr});
     }
   }
 

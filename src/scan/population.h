@@ -46,18 +46,57 @@ struct PopulationConfig {
   std::optional<bool> force_supports_doh3;
 };
 
-/// The built world: resolver instances (owning their hosts/listeners).
-struct Population {
-  std::vector<std::unique_ptr<resolver::DoxResolver>> resolvers;
+/// The built world as a table of resolver profiles. A resolver instance
+/// (its host, UDP/TCP stacks and listeners) is brought up on the network
+/// the first time a caller asks for it through `resolver(i)`; reads that
+/// only need a profile never bring one up. A campaign cell talks to one
+/// resolver, so it builds one instead of the whole population.
+///
+/// Bringing a resolver up at any point is bit-identical to building it
+/// with the population: its RNG stream is seeded from the child seed drawn
+/// at build time, and its constructor schedules no simulator event and
+/// draws from no shared stream (see `DoxResolver`'s constructor).
+class Population {
+ public:
+  /// Number of resolver profiles.
+  std::size_t size() const { return members_.size(); }
+
+  const ::doxlab::resolver::ResolverProfile& profile(std::size_t index) const {
+    return members_[index].profile;
+  }
+
+  /// The resolver at `index`, brought up on the network on first call.
+  /// Owned by the population, which must be destroyed before the network
+  /// (the testbed declares it after its network).
+  ::doxlab::resolver::DoxResolver& resolver(std::size_t index);
+
+  /// Brings every resolver up, for callers that probe the whole population
+  /// (the resolver-scan programs).
+  void bring_up_all();
 
   /// Indices of the verified (all-five-protocols) resolvers.
   std::vector<std::size_t> verified;
 
   /// Count of verified resolvers on a continent.
   int verified_on(net::Continent c) const;
+
+ private:
+  friend Population build_population(net::Network& network,
+                                     const PopulationConfig& cfg, Rng& rng);
+
+  struct Member {
+    ::doxlab::resolver::ResolverProfile profile;
+    /// Seed of the resolver's own RNG stream (`Rng::fork_seed`).
+    std::uint64_t seed = 0;
+    std::unique_ptr<::doxlab::resolver::DoxResolver> instance;
+  };
+
+  net::Network* network_ = nullptr;
+  std::vector<Member> members_;
 };
 
-/// Builds resolver profiles + instances on `network`.
+/// Draws every resolver profile and child seed from `rng`, in a fixed
+/// order; resolvers come up on `network` on demand.
 Population build_population(net::Network& network, const PopulationConfig& cfg,
                             Rng& rng);
 

@@ -6,11 +6,13 @@
 
 namespace doxlab {
 
-Rng Rng::fork() {
+Rng Rng::fork() { return Rng(fork_seed()); }
+
+std::uint64_t Rng::fork_seed() {
   // Mix two draws so that sibling forks differ even for adjacent seeds.
   std::uint64_t a = engine_();
   std::uint64_t b = engine_();
-  return Rng(a ^ (b << 1) ^ 0x9E3779B97F4A7C15ull);
+  return a ^ (b << 1) ^ 0x9E3779B97F4A7C15ull;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -33,7 +33,13 @@ class Rng {
 
   /// Derives an independent child generator; used to give each subsystem its
   /// own stream so adding draws in one place does not perturb another.
+  /// Equivalent to `Rng(fork_seed())`.
   Rng fork();
+
+  /// The seed `fork()` would give its child, advancing this stream exactly
+  /// as `fork()` does. Lets a caller keep a child stream as 8 bytes and
+  /// pay for seeding the engine only if the stream is ever drawn from.
+  std::uint64_t fork_seed();
 
   /// Uniform integer in [lo, hi] (inclusive).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);

@@ -4,6 +4,8 @@
 // generator's determinism.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "engine/engine.h"
 #include "engine/load_gen.h"
 #include "engine/scenario.h"
@@ -670,6 +672,30 @@ TEST(LoadGenerator, ClientSourceAddressesDeterministicFromSeed) {
   EXPECT_NE(a, c);
   const policy::Netmask span = policy::Netmask::parse("10.50.0.0/16");
   for (const auto& address : a) EXPECT_TRUE(span.contains(address));
+}
+
+TEST(LoadGenerator, RejectsLoadWithoutClientsOrNames) {
+  sim::Simulator sim;
+  net::Network network(sim, Rng(5));
+  net::Host& host = network.add_host(
+      "stub", IpAddress::from_octets(10, 9, 0, 1), {50.11, 8.68},
+      Continent::kEurope);
+  net::UdpStack udp(host);
+  LoadConfig config;
+  config.clients = 10;
+  config.names = 10;
+  config.duration = kSecond;
+  config.target = Endpoint{host.address(), 53};
+
+  LoadConfig no_clients = config;
+  no_clients.clients = 0;
+  EXPECT_THROW(LoadGenerator(sim, udp, no_clients), std::invalid_argument);
+  LoadConfig no_names = config;
+  no_names.names = 0;
+  EXPECT_THROW(LoadGenerator(sim, udp, no_names), std::invalid_argument);
+  // Nothing was scheduled or bound by the refused configs.
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_NO_THROW(LoadGenerator(sim, udp, config));
 }
 
 TEST(LoadGenerator, AbuseScenarioShedsAttacksWithoutPerturbingLegitLoad) {

@@ -226,5 +226,90 @@ TEST_F(MeasureFixture, CsvExportsParseableLines) {
   EXPECT_NE(web.find("wikipedia.org"), std::string::npos);
 }
 
+/// A campaign-cell-sized testbed: 48 verified resolvers, like doxperf's
+/// default population.
+TestbedConfig cell_config() {
+  TestbedConfig config;
+  config.seed = 11;
+  config.population_seed = 2022;
+  config.population.verified_dox = 48;
+  return config;
+}
+
+std::size_t resolver_hosts_up(Testbed& testbed) {
+  const scan::Population& population = testbed.population();
+  std::size_t up = 0;
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    up += testbed.network().find_host(population.profile(i).address) !=
+          nullptr;
+  }
+  return up;
+}
+
+TEST(TestbedWorld, ConstructionBringsNoResolverUp) {
+  Testbed testbed(cell_config());
+  EXPECT_GE(testbed.population().size(), 48u);
+  EXPECT_EQ(resolver_hosts_up(testbed), 0u);
+  EXPECT_EQ(testbed.simulator().pending(), 0u);
+}
+
+TEST(TestbedWorld, ResolverEndpointBringsUpExactlyThatResolver) {
+  Testbed testbed(cell_config());
+  scan::Population& population = testbed.population();
+  const std::size_t target = population.verified[17];
+  const std::size_t pending = testbed.simulator().pending();
+  const std::uint64_t executed = testbed.simulator().events_executed();
+
+  const net::Endpoint endpoint =
+      testbed.resolver_endpoint(target, dox::DnsProtocol::kDoQ);
+  EXPECT_EQ(endpoint.address, population.profile(target).address);
+  EXPECT_EQ(resolver_hosts_up(testbed), 1u);
+  const net::Host* host = testbed.network().find_host(endpoint.address);
+  ASSERT_NE(host, nullptr);
+
+  // A second call (another protocol, same resolver) is idempotent.
+  const net::Endpoint again =
+      testbed.resolver_endpoint(target, dox::DnsProtocol::kDoT);
+  EXPECT_EQ(again.address, endpoint.address);
+  EXPECT_EQ(resolver_hosts_up(testbed), 1u);
+  EXPECT_EQ(testbed.network().find_host(endpoint.address), host);
+  EXPECT_EQ(testbed.simulator().pending(), pending);
+  EXPECT_EQ(testbed.simulator().events_executed(), executed);
+}
+
+TEST(TestbedWorld, OnDemandBringUpMatchesEagerWorld) {
+  // The same cell measured in a world whose every resolver is up from the
+  // start and in one that brings up only the measured resolver, at the
+  // moment the study asks for it: records and event streams must match.
+  Testbed eager(cell_config());
+  eager.population().bring_up_all();
+  Testbed lazy(cell_config());
+
+  SingleQueryConfig sq;
+  sq.repetitions = 1;
+  sq.only_vp = 2;
+  sq.only_resolver = static_cast<int>(eager.population().verified[9]);
+  WebStudyConfig web;
+  web.only_vp = 4;
+  web.only_resolver = static_cast<int>(eager.population().verified[3]);
+  web.max_resolvers = 0;
+  web.pages = {"wikipedia.org"};
+  web.loads_per_combo = 2;
+
+  const std::string eager_sq = single_query_csv(SingleQueryStudy(eager, sq).run());
+  const std::string eager_web = web_csv(WebStudy(eager, web).run());
+  const std::string lazy_sq = single_query_csv(SingleQueryStudy(lazy, sq).run());
+  const std::string lazy_web = web_csv(WebStudy(lazy, web).run());
+  EXPECT_EQ(lazy_sq, eager_sq);
+  EXPECT_EQ(lazy_web, eager_web);
+  EXPECT_EQ(std::count(lazy_sq.begin(), lazy_sq.end(), '\n'), 6);  // 5 + header
+  EXPECT_EQ(lazy.simulator().events_executed(),
+            eager.simulator().events_executed());
+  EXPECT_EQ(lazy.simulator().event_stream_digest(),
+            eager.simulator().event_stream_digest());
+  EXPECT_EQ(lazy.rng().engine()(), eager.rng().engine()());
+  EXPECT_EQ(resolver_hosts_up(lazy), 2u);
+}
+
 }  // namespace
 }  // namespace doxlab::measure

@@ -6,6 +6,7 @@
 // late answers, id-space shedding) is tested directly through SwarmClient.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,21 @@ TEST(ShardedEngine, SharedL2CarriesAnswersAcrossShards) {
   EXPECT_EQ(off.engine.l2_lookups, 0u);
   EXPECT_EQ(off.engine.l2_hits, 0u);
   EXPECT_EQ(off.load.answered, result.load.answered);
+}
+
+TEST(ShardedEngine, RejectsLoadWithoutClientsOrNames) {
+  // Every arrival draws a client and a name: an empty range is a config
+  // error, reported before any world is built.
+  for (std::uint32_t shards : {1u, 3u}) {
+    ShardedConfig no_names = small_config();
+    no_names.shards = shards;
+    no_names.names = 0;
+    EXPECT_THROW(run_sharded(no_names), std::invalid_argument);
+    ShardedConfig no_clients = small_config();
+    no_clients.shards = shards;
+    no_clients.clients = 0;
+    EXPECT_THROW(run_sharded(no_clients), std::invalid_argument);
+  }
 }
 
 TEST(ShardedEngine, ShardOfIsStableAndInRange) {

@@ -127,6 +127,28 @@ TEST(Rng, ForkDivergesFromParentStream) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(Rng, ForkSeedMatchesForkAndAdvancesParentIdentically) {
+  // fork() and Rng(fork_seed()) must be interchangeable: same child
+  // stream, same parent state afterwards, across seeds and interleavings.
+  for (std::uint64_t s = 1; s <= 32; ++s) {
+    const std::uint64_t seed = splitmix64(0xF0'4C, s);
+    Rng a(seed), b(seed);
+    for (int round = 0; round < 4; ++round) {
+      // Interleave ordinary draws so forks land at varied stream offsets.
+      for (std::uint64_t i = 0; i < s % 5; ++i) {
+        ASSERT_EQ(a.uniform_int(0, 1 << 20), b.uniform_int(0, 1 << 20));
+      }
+      Rng child_a = a.fork();
+      Rng child_b(b.fork_seed());
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(child_a.engine()(), child_b.engine()())
+            << "seed " << seed << " round " << round;
+      }
+    }
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(a.engine()(), b.engine()());
+  }
+}
+
 TEST(Rng, ChanceExtremes) {
   Rng rng(7);
   EXPECT_FALSE(rng.chance(0.0));
