@@ -38,27 +38,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "counting_new.h"
 #include "dox/transport.h"
 #include "engine/sharded.h"
 #include "net/network.h"
 #include "resolver/resolver.h"
 #include "stats/stats.h"
 #include "tcp/tcp.h"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "counting_new.h"
 #include "dns/message.h"
 #include "dns/wire_cache.h"
 #include "engine/engine.h"
@@ -46,23 +47,6 @@
 #include "sim/simulator.h"
 #include "tls/wire.h"
 #include "util/buffer.h"
-
-// Program-wide allocation counter: the sim-core suite reports heap
-// allocations per event, the headline metric of the slab/SBO rewrite.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 

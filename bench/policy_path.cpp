@@ -24,27 +24,10 @@
 #include <new>
 
 #include "bench_util.h"
-#include "engine/scenario.h"
+#include "counting_new.h"
+#include "engine/sharded.h"
 #include "policy/policy.h"
 #include "stats/stats.h"
-
-// Program-wide allocation counter, the same convention as
-// micro_components: evaluation claims zero per query, so count every
-// operator new and prove it.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -141,12 +124,11 @@ EvalNumbers measure_eval(int iters) {
   return out;
 }
 
-void print_run(const char* label, const engine::ScenarioResult& result) {
+void print_run(const char* label, const engine::ShardedResult& result) {
   const auto summary = result.load.latency_summary();
-  std::printf("%-22s %7.0f qps  p50 %6.2f  p95 %6.2f  p99 %7.2f ms  "
+  std::printf("%-22s p50 %6.2f  p95 %6.2f  p99 %7.2f ms  "
               "answered %llu  timeout %llu\n",
-              label, result.engine_qps, summary.median, summary.p95,
-              summary.p99,
+              label, summary.median, summary.p95, summary.p99,
               static_cast<unsigned long long>(result.load.answered),
               static_cast<unsigned long long>(result.load.timeouts));
 }
@@ -157,31 +139,31 @@ int main(int argc, char** argv) {
   const bool smoke = bench::flag_set(argc, argv, "--smoke");
   const bool json = bench::flag_set(argc, argv, "--json");
 
-  engine::ScenarioConfig attack;
+  engine::ShardedConfig attack;
   attack.seed =
       static_cast<std::uint64_t>(bench::flag_int(argc, argv, "--seed", 42));
-  attack.load.clients = static_cast<std::size_t>(
+  attack.clients = static_cast<std::size_t>(
       bench::flag_int(argc, argv, "--clients", smoke ? 300 : 1000));
-  attack.load.qps = bench::flag_int(argc, argv, "--qps", smoke ? 600 : 2000);
-  attack.load.duration =
+  attack.qps = bench::flag_int(argc, argv, "--qps", smoke ? 600 : 2000);
+  attack.duration =
       bench::flag_int(argc, argv, "--seconds", smoke ? 6 : 20) * kSecond;
-  attack.load.names = 100;
+  attack.names = 100;
   attack.engine.max_ttl = 1;  // keep refresh traffic flowing past warmup
-  attack.abuse.enabled = true;
-  attack.abuse.start = 2 * kSecond;
+  engine::AbuseMix& abuse = attack.abuse.emplace();
+  abuse.start = 2 * kSecond;
   if (smoke) {
-    attack.abuse.flood_qps = 900;
-    attack.abuse.torture_qps = 450;
-    attack.abuse.amp_qps = 300;
+    abuse.flood_qps = 900;
+    abuse.torture_qps = 450;
+    abuse.amp_qps = 300;
   }
 
   // The baseline is the same scenario with the attacks silenced: same
   // policy chain, same per-client addressing, same anycast pool — the only
   // variable is the abuse traffic.
-  engine::ScenarioConfig baseline = attack;
-  baseline.abuse.flood_qps = 0.0;
-  baseline.abuse.torture_qps = 0.0;
-  baseline.abuse.amp_qps = 0.0;
+  engine::ShardedConfig baseline = attack;
+  baseline.abuse->flood_qps = 0.0;
+  baseline.abuse->torture_qps = 0.0;
+  baseline.abuse->amp_qps = 0.0;
 
   bench::banner("Policy path 1 — compiled chain evaluation (hot path)");
   const EvalNumbers eval = measure_eval(smoke ? 200000 : 1000000);
@@ -194,8 +176,8 @@ int main(int argc, char** argv) {
   std::printf("allocations   %7.2f per evaluation\n", eval.allocs_per_op);
 
   bench::banner("Policy path 2 — attack shed vs legit tail latency");
-  const auto result_base = engine::run_scenario(baseline);
-  const auto result_attack = engine::run_scenario(attack);
+  const auto result_base = engine::run_sharded(baseline);
+  const auto result_attack = engine::run_sharded(attack);
   print_run("no attack", result_base);
   print_run("under attack", result_attack);
   std::uint64_t attack_sent = 0;

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <stdexcept>
+#include <utility>
 
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -39,11 +42,11 @@ double thread_cpu_ms() {
 #endif
 }
 
-/// The global arrival schedule: the same Poisson process / uniform client
-/// choice / Zipf name draw LoadGenerator performs, generated in one pass so
-/// the offered load is a function of the seed alone — never of the shard
-/// count that will replay it. Each arrival goes straight to the slice of
-/// the shard that owns its client's source address (slices stay in time
+/// The global arrival schedule: Poisson arrivals at the aggregate rate, a
+/// uniform client and a Zipf name per arrival, generated in one pass so the
+/// offered load is a function of the seed alone — never of the shard count
+/// that will replay it. Each arrival goes straight to the slice of the
+/// shard that owns its client's source address (slices stay in time
 /// order); returns the total number of arrivals.
 std::size_t generate_slices(const ShardedConfig& config,
                             std::vector<std::vector<Arrival>>& slices) {
@@ -84,15 +87,64 @@ std::size_t generate_slices(const ShardedConfig& config,
   return count;
 }
 
-}  // namespace
+using AttackSlices = std::array<std::vector<AttackArrival>, kAttackKinds>;
 
-ShardedResult run_sharded(const ShardedConfig& config) {
-  const std::uint32_t n = std::max<std::uint32_t>(1, config.shards);
-  const auto wall_start = Clock::now();
+/// Each attack family's arrivals: a Poisson stream from `abuse.start` to
+/// the end of the load window, drawn from the family's own Rng
+/// (splitmix64(seed, 2^32 + family)), so enabling an attack never moves
+/// the legitimate schedule. Each arrival goes to the shard that owns its
+/// spoofed source.
+void generate_attacks(const ShardedConfig& config,
+                      std::vector<AttackSlices>& slices) {
+  const AbuseMix& abuse = *config.abuse;
+  const std::array<double, kAttackKinds> rates = {
+      abuse.flood_qps, abuse.torture_qps, abuse.amp_qps};
+  for (std::size_t k = 0; k < kAttackKinds; ++k) {
+    if (rates[k] <= 0.0) continue;
+    const auto kind = static_cast<AttackKind>(k);
+    Rng rng(splitmix64(config.seed, (std::uint64_t{1} << 32) + k));
+    const double mean_gap_us = static_cast<double>(kSecond) / rates[k];
+    SimTime at = abuse.start;
+    while (true) {
+      at += std::max<SimTime>(
+          1, static_cast<SimTime>(rng.exponential(mean_gap_us)));
+      if (at >= config.duration) break;
+      const std::uint64_t bits = rng.engine()();
+      slices[shard_of(config, attack_source(kind, bits))][k].push_back(
+          {at, bits});
+    }
+  }
+}
 
-  std::vector<std::vector<Arrival>> slices(n);
-  const std::size_t total_arrivals = generate_slices(config, slices);
+/// The entries of a time-ordered slice with `at` in [start, end).
+template <typename T>
+std::span<const T> in_window(const std::vector<T>& slice, SimTime start,
+                             SimTime end) {
+  auto by_time = [](const T& entry, SimTime t) { return entry.at < t; };
+  const auto first =
+      std::lower_bound(slice.begin(), slice.end(), start, by_time);
+  const auto last = std::lower_bound(first, slice.end(), end, by_time);
+  return {first, last};
+}
 
+/// Stats probes into one set of shards: merged into `out` at `at`.
+struct Probe {
+  SimTime at = 0;
+  EngineStats* out = nullptr;
+};
+
+/// Builds one set of shard worlds over the arrivals in [start, end), runs
+/// the epoch loop until `end` plus the settle slack, and folds the outcome
+/// into `result` and `series`. The last window frees each slice once its
+/// shard holds a copy.
+void run_world(const ShardedConfig& config, SimTime start, SimTime end,
+               std::vector<std::vector<Arrival>>& slices,
+               std::vector<AttackSlices>& attacks,
+               const std::vector<Probe>& probes, Clock::time_point wall_start,
+               std::vector<LoadReport>& series,
+               ShardedResult& result) {
+  const auto n = static_cast<std::uint32_t>(slices.size());
+  const bool last_window = end >= config.duration;
   dns::SharedPacketCache l2(config.l2_capacity, n);
   dns::SharedPacketCache* l2_ptr = config.l2_capacity > 0 ? &l2 : nullptr;
   if (config.engine.l2_serve_stale && config.engine.serve_stale) {
@@ -103,43 +155,49 @@ ShardedResult run_sharded(const ShardedConfig& config) {
 
   std::vector<std::unique_ptr<EngineShard>> shards;
   shards.reserve(n);
+  std::vector<EngineStats> probed(probes.size() * n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    shards.push_back(
-        std::make_unique<EngineShard>(config, i, slices[i], l2_ptr));
-    slices[i] = {};  // the shard's arrival lane holds its own copy
+    ShardWindow window{start, end, {}};
+    for (std::size_t k = 0; k < kAttackKinds && !attacks.empty(); ++k) {
+      window.attacks[k] = in_window(attacks[i][k], start, end);
+    }
+    shards.push_back(std::make_unique<EngineShard>(
+        config, i, in_window(slices[i], start, end), l2_ptr, window));
+    if (last_window) {
+      // The shard's lanes hold their own copies.
+      slices[i] = {};
+      if (!attacks.empty()) attacks[i] = {};
+    }
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      shards[i]->probe_stats_at(probes[p].at, probed[p * n + i]);
+    }
   }
 
-  ShardedResult result;
   util::ThreadPool pool(config.threads);
   std::vector<double> busy_ms(n, 0.0);
   std::vector<double> epoch_busy_ms(n, 0.0);
 
-  // Arrival window plus the same settle slack run_scenario allows: client
-  // timeout and a full pool fallback walk for the stragglers.
-  const SimTime end =
-      config.duration + config.client_timeout + 15 * kSecond;
+  // Arrival window plus settle slack: client timeout and a full pool
+  // fallback walk for the stragglers.
+  const SimTime stop = end + config.client_timeout + 15 * kSecond;
   const SimTime epoch = std::max<SimTime>(1, config.epoch);
-  SimTime deadline = 0;
-  while (deadline < end) {
+  SimTime deadline = start;
+  while (deadline < stop) {
     // Epoch-barrier while the swarms are active; once every shard is past
     // the arrival window with no query in flight, the rest of the settle
     // window collapses into one final epoch (event streams are unchanged —
     // a shard executes its queue in the same order however it is sliced).
-    bool all_drained = true;
-    for (const auto& shard : shards) {
-      if (!shard->drained()) {
-        all_drained = false;
-        break;
-      }
-    }
-    deadline = all_drained ? end : std::min(end, deadline + epoch);
+    const bool all_drained = std::all_of(
+        shards.begin(), shards.end(),
+        [](const auto& shard) { return shard->drained(); });
+    deadline = all_drained ? stop : std::min(stop, deadline + epoch);
     // Parallel phase: every shard runs to the epoch boundary. Each worker
     // writes only its own busy slot — no sharing, no synchronization needed
     // beyond the pool's own completion barrier.
     pool.parallel_for(n, [&](std::size_t i) {
-      const double start = thread_cpu_ms();
+      const double cpu_start = thread_cpu_ms();
       shards[i]->run_until(deadline);
-      epoch_busy_ms[i] = thread_cpu_ms() - start;
+      epoch_busy_ms[i] = thread_cpu_ms() - cpu_start;
     });
     double slowest = 0.0;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -157,31 +215,89 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   }
 
   for (std::uint32_t i = 0; i < n; ++i) {
+    const EngineShard& shard = *shards[i];
     ShardOutcome outcome;
     outcome.index = i;
-    outcome.engine = shards[i]->engine_stats();
-    outcome.load = shards[i]->report();
-    outcome.arrivals = shards[i]->arrivals_scheduled();
-    outcome.events = shards[i]->events_executed();
-    outcome.stream_digest = shards[i]->stream_digest();
-    outcome.outcome_digest = shards[i]->outcome_digest();
+    outcome.engine = shard.engine_stats();
+    outcome.load = shard.report();
+    outcome.arrivals = shard.arrivals_scheduled();
+    outcome.events = shard.events_executed();
+    outcome.churn_fired = shard.churn_fired();
+    outcome.stream_digest = shard.stream_digest();
+    outcome.outcome_digest = shard.outcome_digest();
     outcome.busy_ms = busy_ms[i];
 
     result.engine.add(outcome.engine);
-    result.load.sent += outcome.load.sent;
-    result.load.answered += outcome.load.answered;
-    result.load.servfails += outcome.load.servfails;
-    result.load.timeouts += outcome.load.timeouts;
-    result.load.shed += outcome.load.shed;
-    result.load.latency_ms.insert(result.load.latency_ms.end(),
-                                  outcome.load.latency_ms.begin(),
-                                  outcome.load.latency_ms.end());
+    result.load.add(outcome.load);
     result.merged_digest =
         (result.merged_digest * 0x100000001B3ull) ^ outcome.stream_digest;
     result.outcome_digest += outcome.outcome_digest;
     result.shards.push_back(std::move(outcome));
+
+    for (const AttackReport& report : shard.attack_reports()) {
+      AttackReport& sum = result.attacks[static_cast<std::size_t>(report.kind)];
+      sum.sent += report.sent;
+      sum.answered += report.answered;
+      sum.refused += report.refused;
+      sum.truncated += report.truncated;
+    }
+    const std::vector<LoadReport>& buckets = shard.series();
+    if (series.size() < buckets.size()) series.resize(buckets.size());
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      series[b].add(buckets[b]);
+    }
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      probes[p].out->add(probed[p * n + i]);
+    }
   }
   result.l2 = l2.stats();
+  result.wall_ms = ms_since(wall_start);
+}
+
+}  // namespace
+
+double ShardedResult::attack_shed_rate() const {
+  std::uint64_t sent = 0, answered = 0;
+  for (const AttackReport& a : attacks) {
+    sent += a.sent;
+    answered += a.answered;
+  }
+  return sent == 0 ? 0.0
+                   : static_cast<double>(sent - answered) /
+                         static_cast<double>(sent);
+}
+
+ShardedResult run_sharded(const ShardedConfig& config) {
+  const std::uint32_t n = std::max<std::uint32_t>(1, config.shards);
+  const auto wall_start = Clock::now();
+
+  std::vector<std::vector<Arrival>> slices(n);
+  const std::size_t total_arrivals = generate_slices(config, slices);
+  std::vector<AttackSlices> attacks(config.abuse ? n : 0);
+  if (config.abuse) generate_attacks(config, attacks);
+
+  ShardedResult result;
+  for (std::size_t k = 0; config.abuse && k < kAttackKinds; ++k) {
+    result.attacks.push_back(AttackReport{static_cast<AttackKind>(k)});
+  }
+  std::vector<LoadReport> series;
+  const SimTime restart = config.restart_at;
+  if (restart <= 0 || restart >= config.duration) {
+    run_world(config, 0, config.duration, slices, attacks, {}, wall_start,
+              series, result);
+  } else {
+    // The first set of shards runs the arrivals before the restart and
+    // drains; the second, fast-forwarded to the restart, runs the rest.
+    run_world(config, 0, restart, slices, attacks,
+              {{std::max<SimTime>(0, restart - kRestartWindow),
+                &result.pre_window_start},
+               {restart, &result.pre_restart}},
+              wall_start, series, result);
+    run_world(config, restart, config.duration, slices, attacks,
+              {{restart + kRestartWindow, &result.post_first_epoch}},
+              wall_start, series, result);
+  }
+
   // The shared tier's occupancy is stamped once onto the merged stats (the
   // per-shard rows carry only each shard's own hit/lookup counters), so the
   // merge never multi-counts one table.
@@ -189,8 +305,51 @@ ShardedResult run_sharded(const ShardedConfig& config) {
   result.engine.l2_entries = result.l2.size;
   result.engine.l2_bytes = result.l2.bytes;
   result.total_arrivals = total_arrivals;
-  result.wall_ms = ms_since(wall_start);
+
+  const SimTime bucket = std::max<SimTime>(1, config.bucket);
+  for (std::size_t b = 0; b < series.size(); ++b) {
+    SeriesBucket out;
+    out.start = static_cast<SimTime>(b) * bucket;
+    out.sent = series[b].sent;
+    out.answered = series[b].answered;
+    out.servfails = series[b].servfails;
+    out.timeouts = series[b].timeouts;
+    if (!series[b].latency_ms.empty()) {
+      const stats::Summary summary = series[b].latency_summary();
+      out.p50_ms = summary.median;
+      out.p99_ms = summary.p99;
+    }
+    result.series.push_back(out);
+  }
+
+  const LoadReport& load = result.load;
+  if (!load.complete()) {
+    throw std::logic_error(
+        "run_sharded: answered + servfails + timeouts != sent");
+  }
+  if (load.sent + load.shed != result.total_arrivals) {
+    throw std::logic_error("run_sharded: sent + shed != arrivals");
+  }
   return result;
+}
+
+std::string series_csv(const ShardedResult& result) {
+  std::string csv =
+      "bucket_s,sent,answered,servfails,timeouts,answer_rate,p50_ms,"
+      "p99_ms\n";
+  char line[160];
+  for (const SeriesBucket& bucket : result.series) {
+    std::snprintf(line, sizeof(line),
+                  "%.3f,%llu,%llu,%llu,%llu,%.6f,%.3f,%.3f\n",
+                  static_cast<double>(bucket.start) / kSecond,
+                  static_cast<unsigned long long>(bucket.sent),
+                  static_cast<unsigned long long>(bucket.answered),
+                  static_cast<unsigned long long>(bucket.servfails),
+                  static_cast<unsigned long long>(bucket.timeouts),
+                  bucket.answer_rate(), bucket.p50_ms, bucket.p99_ms);
+    csv += line;
+  }
+  return csv;
 }
 
 }  // namespace doxlab::engine

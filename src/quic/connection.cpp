@@ -508,7 +508,9 @@ void QuicConnection::process_packet(const QuicPacket& packet) {
   }
 
   const int s = static_cast<int>(space_of(packet.type));
-  if (!received_pns_[s].insert(packet.packet_number)) {
+  RangeSet& received = received_pns_[s];
+  if (!received.insert(
+          decode_packet_number(received.largest(), packet.packet_number))) {
     return;  // duplicate delivery (retransmitted datagram); already handled
   }
   if (packet.ack_eliciting()) need_ack_[s] = true;

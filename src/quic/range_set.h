@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <vector>
 
 #include "quic/wire.h"
@@ -50,6 +51,12 @@ class RangeSet {
   bool contains(std::uint64_t v) const {
     auto it = std::ranges::lower_bound(ranges_, v, {}, &AckRange::last);
     return it != ranges_.end() && it->first <= v;
+  }
+
+  /// The largest member, or nullopt when the set is empty.
+  std::optional<std::uint64_t> largest() const {
+    if (ranges_.empty()) return std::nullopt;
+    return ranges_.back().last;
   }
 
   /// The ranges, ascending.

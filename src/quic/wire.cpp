@@ -338,7 +338,7 @@ void encode_packet_into(ByteWriter& w, const QuicPacket& packet) {
       }
       // Length covers packet number (2 bytes) + payload + tag.
       w.varint(2 + encoded_frames_size(packet.frames) + kAeadTag);
-      w.u16(static_cast<std::uint16_t>(packet.packet_number & 0xFFFF));
+      w.u16(static_cast<std::uint16_t>(packet.packet_number));
       encode_frames(w, packet.frames);
       w.pad(kAeadTag);
       return;
@@ -349,7 +349,7 @@ void encode_packet_into(ByteWriter& w, const QuicPacket& packet) {
       w.u8(kFirstOneRtt);
       w.u64(packet.dcid);
       w.varint(2 + encoded_frames_size(packet.frames) + kAeadTag);
-      w.u16(static_cast<std::uint16_t>(packet.packet_number & 0xFFFF));
+      w.u16(static_cast<std::uint16_t>(packet.packet_number));
       encode_frames(w, packet.frames);
       w.pad(kAeadTag);
       return;
@@ -502,6 +502,23 @@ std::optional<std::vector<QuicPacket>> decode_datagram(
     }
   }
   return out;
+}
+
+std::uint64_t decode_packet_number(std::optional<std::uint64_t> largest,
+                                   std::uint64_t truncated, unsigned bits) {
+  const std::uint64_t expected = largest ? *largest + 1 : 0;
+  const std::uint64_t window = std::uint64_t{1} << bits;
+  const std::uint64_t half = window / 2;
+  const std::uint64_t candidate = (expected & ~(window - 1)) | truncated;
+  // The RFC's `candidate <= expected - half`, kept from wrapping below 0.
+  if (candidate + half <= expected &&
+      candidate < (std::uint64_t{1} << 62) - window) {
+    return candidate + window;
+  }
+  if (candidate > expected + half && candidate >= window) {
+    return candidate - window;
+  }
+  return candidate;
 }
 
 }  // namespace doxlab::quic

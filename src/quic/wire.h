@@ -143,6 +143,8 @@ struct QuicPacket {
   QuicVersion version = QuicVersion::kV1;
   std::uint64_t dcid = 0;
   std::uint64_t scid = 0;
+  /// The full number when encoding; after decoding, only its low
+  /// kPacketNumberBits bits (see decode_packet_number).
   std::uint64_t packet_number = 0;
   std::vector<std::uint8_t> token;  // INITIAL: address token; Retry: minted
   std::vector<QuicVersion> supported_versions;  // VN only
@@ -155,6 +157,19 @@ struct QuicPacket {
     return false;
   }
 };
+
+/// Packet numbers travel truncated to their low 16 bits (a 2-byte
+/// packet-number field).
+inline constexpr unsigned kPacketNumberBits = 16;
+
+/// RFC 9000 Appendix A.3: the full packet number whose low `bits` bits are
+/// `truncated` and which lies closest to the successor of `largest`, the
+/// largest number received so far in the packet's space (nullopt before
+/// the first). Correct while the sender keeps the gap to the peer's
+/// largest acknowledged number under 2^(bits - 1).
+std::uint64_t decode_packet_number(std::optional<std::uint64_t> largest,
+                                   std::uint64_t truncated,
+                                   unsigned bits = kPacketNumberBits);
 
 /// Encodes one packet (including its 16-byte tag for protected types).
 std::vector<std::uint8_t> encode_packet(const QuicPacket& packet);

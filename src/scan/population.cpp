@@ -129,13 +129,10 @@ Population build_population(net::Network& network, const PopulationConfig& cfg,
                                        : tls::TlsVersion::kTls12;
     profile.quic_version = draw_quic_version(rng);
     profile.doq_alpn = draw_doq_alpn(rng);
-    profile.supports_0rtt = cfg.force_supports_0rtt.value_or(false);
-    profile.supports_tfo = cfg.force_supports_tfo.value_or(false);
-    profile.supports_keepalive =
-        cfg.force_supports_keepalive.value_or(false);
-    profile.validate_with_retry =
-        cfg.force_validate_with_retry.value_or(false);
-    profile.supports_doh3 = cfg.force_supports_doh3.value_or(false);
+    profile.supports_0rtt = cfg.force_supports_0rtt;
+    profile.supports_tfo = cfg.force_supports_tfo;
+    profile.validate_with_retry = cfg.force_validate_with_retry;
+    profile.supports_doh3 = cfg.force_supports_doh3;
     profile.session_tickets = true;
     // Chain sizes straddle the 3x-amplification budget (~2.8 KB of
     // certificate next to the rest of the flight) so that a realistic

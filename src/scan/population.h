@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/network.h"
@@ -37,13 +36,12 @@ struct PopulationConfig {
   /// Base of the address range resolvers are placed in.
   std::uint32_t base_address = 0x0A800000;  // 10.128.0.0
 
-  // Ablation overrides (nullopt = the paper's observed behaviour).
-  std::optional<bool> force_supports_0rtt;
-  std::optional<bool> force_supports_tfo;
-  std::optional<bool> force_supports_keepalive;
-  std::optional<bool> force_validate_with_retry;
+  // Ablation overrides (false = the paper's observed behaviour).
+  bool force_supports_0rtt = false;
+  bool force_supports_tfo = false;
+  bool force_validate_with_retry = false;
   /// Enable DNS-over-HTTP/3 listeners across the population (future work).
-  std::optional<bool> force_supports_doh3;
+  bool force_supports_doh3 = false;
 };
 
 /// The built world as a table of resolver profiles. A resolver instance

@@ -209,6 +209,39 @@ quic::Frame random_frame(Rng& rng) {
   }
 }
 
+TEST(QuicProperty, PacketNumbersReconstructAcrossWraps) {
+  // Random (largest received, next number) pairs within the window the
+  // sender keeps (RFC 9000 §17.1: under 2^15 apart), clustered around the
+  // 16-bit wrap points and near zero: encoding keeps the low 16 bits, and
+  // reconstruction against the largest recovers the full number.
+  Rng rng(2002);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t wrap =
+        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)) << 16;
+    const auto largest = static_cast<std::uint64_t>(std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(wrap) + rng.uniform_int(-70000, 70000)));
+    const std::int64_t gap = rng.uniform_int(-(1 << 15) + 1, 1 << 15);
+    if (gap < 0 && static_cast<std::uint64_t>(-gap) > largest) continue;
+    const std::uint64_t pn = largest + static_cast<std::uint64_t>(gap);
+
+    quic::QuicPacket p;
+    p.type = quic::PacketType::kOneRtt;
+    p.packet_number = pn;
+    p.frames.emplace_back().type = quic::FrameType::kPing;
+    auto decoded = quic::decode_datagram(quic::encode_packet(p));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(quic::decode_packet_number(largest, (*decoded)[0].packet_number),
+              pn)
+        << "largest " << largest << " pn " << pn;
+  }
+  // Before anything arrived, small numbers decode as themselves.
+  for (std::uint64_t pn = 0; pn < (1u << 15); pn += 97) {
+    EXPECT_EQ(quic::decode_packet_number(std::nullopt, pn), pn);
+  }
+  // RFC 9000 Appendix A.3's worked example.
+  EXPECT_EQ(quic::decode_packet_number(0xa82f30ea, 0x9b32), 0xa82f9b32u);
+}
+
 TEST(QuicProperty, PacketRoundTripsRandomFrames) {
   Rng rng(2001);
   const quic::PacketType types[] = {

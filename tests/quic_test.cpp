@@ -915,19 +915,20 @@ class LongLivedDoq : public QuicFixture {
     return dox::make_transport(dox::DnsProtocol::kDoQ, deps, options);
   }
 
-  /// Runs kQueries through one transport and checks every query was
-  /// answered exactly once over one connection that ends with no stream
-  /// records on the server and no per-query state in the transport.
-  void run_and_check(int& failures) {
+  /// Runs `queries` through one transport, `batch` at a time, and checks
+  /// every query was answered exactly once over one connection that ends
+  /// with no stream records on the server and no per-query state in the
+  /// transport.
+  void run_and_check(int& failures, int queries = kQueries, int batch = 8) {
     start_responder();
     auto transport = make_transport();
     const std::vector<int> completions =
-        run_queries(sim_, *transport, kQueries, 8, failures);
+        run_queries(sim_, *transport, queries, batch, failures);
     for (std::size_t q = 0; q < completions.size(); ++q) {
       ASSERT_EQ(completions[q], 1) << "query " << q;
     }
     ASSERT_EQ(accepted_.size(), 1u);  // one connection, reused throughout
-    ASSERT_EQ(answers_.size(), static_cast<std::size_t>(kQueries));
+    ASSERT_EQ(answers_.size(), static_cast<std::size_t>(queries));
     for (const auto& [id, count] : answers_) {
       ASSERT_EQ(count, 1) << "stream " << id << " answered twice";
     }
@@ -952,6 +953,17 @@ TEST_F(LongLivedDoq, FiveThousandQueriesLeaveNoStreamState) {
     EXPECT_EQ(server.received_ranges(space), 1u)
         << "space " << static_cast<int>(space);
   }
+}
+
+TEST_F(LongLivedDoq, FortyThousandQueriesCrossThePacketNumberWrap) {
+  // One query at a time costs about two packets each way, so this crosses
+  // 2^16 packets per direction on one connection: the 16-bit packet
+  // numbers wrap and must be reconstructed (RFC 9000 Appendix A.3), or
+  // every packet after the wrap reads as a duplicate and is dropped
+  // unacknowledged.
+  int failures = 0;
+  run_and_check(failures, 40000, 1);
+  EXPECT_EQ(failures, 0);
 }
 
 TEST_F(LongLivedDoq, LossyPathStillAnswersEveryQueryExactlyOnce) {

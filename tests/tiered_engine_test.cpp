@@ -2,8 +2,8 @@
 // engine: warm-starting a fresh engine from the snapshot tier across a
 // restart, the stale-L2 / stale-snapshot serve paths (stale answer, exactly
 // one upstream refresh, re-promotion into L1), administrative
-// withdraw/announce through the upstream pool, and the churn-campaign
-// runner's bucket accounting.
+// withdraw/announce through the upstream pool, and churn campaigns through
+// the engine harness (bucket accounting, restart warm start).
 //
 // Engine worlds are built as a self-contained `World` value (not a gtest
 // fixture) so a restart test can tear the whole first world down — engine,
@@ -15,9 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "engine/churn.h"
 #include "engine/engine.h"
-#include "engine/load_gen.h"
+#include "engine/sharded.h"
 #include "net/network.h"
 #include "resolver/resolver.h"
 #include "sim/simulator.h"
@@ -267,63 +266,130 @@ TEST(TieredEngine, WithdrawSkipsUpstreamAnnounceRestoresIt) {
   EXPECT_GE(stats.upstreams[0].attempts, 1u);
 }
 
+// Churn campaigns run through the one engine harness; each case runs at
+// one shard and at several.
+
 TEST(ChurnCampaign, BucketAccountingIsExhaustive) {
-  ChurnConfig config;
-  config.load.clients = 20;
-  config.load.qps = 100.0;
-  config.load.duration = 4 * kSecond;
-  config.load.names = 20;
-  config.events = {{kSecond, 0, ChurnAction::kOutage},
-                   {2 * kSecond, 0, ChurnAction::kRecover},
-                   {2 * kSecond, 1, ChurnAction::kWithdraw},
-                   {3 * kSecond, 1, ChurnAction::kAnnounce}};
-  const ChurnResult result = run_churn(config);
+  for (std::uint32_t shards : {1u, 3u}) {
+    ShardedConfig config;
+    config.shards = shards;
+    config.clients = 20;
+    config.qps = 100.0;
+    config.duration = 4 * kSecond;
+    config.names = 20;
+    config.bucket = kSecond;
+    config.engine.max_ttl = 1;  // refresh traffic reaches the upstreams
+    config.churn = {{kSecond, 0, ChurnAction::kOutage},
+                    {2 * kSecond, 0, ChurnAction::kRecover},
+                    {2 * kSecond, 1, ChurnAction::kWithdraw},
+                    {3 * kSecond, 1, ChurnAction::kAnnounce}};
+    const ShardedResult result = run_sharded(config);
 
-  EXPECT_EQ(result.events_executed, 4u);
-  EXPECT_TRUE(result.load.complete());
-  EXPECT_GT(result.load.sent, 0u);
-  ASSERT_FALSE(result.series.empty());
-  std::uint64_t sent = 0;
-  for (const ChurnBucket& bucket : result.series) {
-    // Every sent query in a bucket reached exactly one terminal outcome.
-    EXPECT_EQ(bucket.sent,
-              bucket.answered + bucket.servfails + bucket.timeouts);
-    sent += bucket.sent;
-  }
-  EXPECT_EQ(sent, result.load.sent);
+    // Every event fired once in every shard.
+    std::uint64_t fired = 0;
+    for (const ShardOutcome& shard : result.shards) fired += shard.churn_fired;
+    EXPECT_EQ(fired, 4u * shards);
+    EXPECT_TRUE(result.load.complete());
+    EXPECT_GT(result.load.sent, 0u);
+    ASSERT_FALSE(result.series.empty());
+    std::uint64_t sent = 0;
+    for (const SeriesBucket& bucket : result.series) {
+      // Every sent query in a bucket reached exactly one terminal outcome.
+      EXPECT_EQ(bucket.sent,
+                bucket.answered + bucket.servfails + bucket.timeouts);
+      sent += bucket.sent;
+    }
+    EXPECT_EQ(sent, result.load.sent);
 
-  // Determinism: the same config reproduces the same series.
-  const ChurnResult again = run_churn(config);
-  ASSERT_EQ(again.series.size(), result.series.size());
-  for (std::size_t i = 0; i < result.series.size(); ++i) {
-    EXPECT_EQ(again.series[i].sent, result.series[i].sent);
-    EXPECT_EQ(again.series[i].answered, result.series[i].answered);
-    EXPECT_EQ(again.series[i].p99_ms, result.series[i].p99_ms);
+    // Determinism: the same config reproduces the same series.
+    const ShardedResult again = run_sharded(config);
+    ASSERT_EQ(again.series.size(), result.series.size());
+    for (std::size_t i = 0; i < result.series.size(); ++i) {
+      EXPECT_EQ(again.series[i].sent, result.series[i].sent);
+      EXPECT_EQ(again.series[i].answered, result.series[i].answered);
+      EXPECT_EQ(again.series[i].p99_ms, result.series[i].p99_ms);
+    }
   }
 }
 
 TEST(ChurnCampaign, RestartWarmStartsFromSnapshot) {
-  const std::string dir = temp_dir("churn_restart_snapdir");
-  ChurnConfig config;
-  config.load.clients = 30;
-  config.load.qps = 150.0;
-  config.load.duration = 5 * kSecond;
-  config.load.names = 25;
-  config.restart_at = 3 * kSecond;
-  config.epoch_window = kSecond;
-  config.engine.snapshot_dir = dir;
-  const ChurnResult result = run_churn(config);
+  for (std::uint32_t shards : {1u, 3u}) {
+    const std::string dir =
+        temp_dir("churn_restart_snapdir_" + std::to_string(shards));
+    ShardedConfig config;
+    config.shards = shards;
+    config.clients = 30;
+    config.qps = 150.0;
+    config.duration = 5 * kSecond;
+    config.names = 25;
+    config.restart_at = 3 * kSecond;
+    config.engine.snapshot_dir = dir;
+    const ShardedResult result = run_sharded(config);
 
-  EXPECT_GT(result.warm_loaded, 0u);
-  EXPECT_TRUE(result.load.complete());
-  // The pre-restart windows were probed in ascending order.
-  EXPECT_GE(result.pre_restart.queries, result.pre_window_start.queries);
-  EXPECT_GT(result.pre_restart.queries, 0u);
-  EXPECT_GT(result.post_first_epoch.queries, 0u);
-  // Warm start: the post-restart engine answered from its promoted tiers
-  // far more often than it resolved upstream.
-  EXPECT_LT(result.post_first_epoch.upstream_resolves,
-            result.post_first_epoch.queries / 2);
+    // Two sets of shards ran; every shard of the second warm-started from
+    // its own shard-<i>.snap.
+    ASSERT_EQ(result.shards.size(), 2u * shards);
+    for (std::uint32_t i = 0; i < shards; ++i) {
+      EXPECT_GT(result.shards[shards + i].engine.snapshot_warm_loaded, 0u)
+          << "shard " << i;
+    }
+    EXPECT_TRUE(result.load.complete());
+    EXPECT_EQ(result.load.sent + result.load.shed, result.total_arrivals);
+    // The pre-restart windows were probed in ascending order.
+    EXPECT_GE(result.pre_restart.queries, result.pre_window_start.queries);
+    EXPECT_GT(result.pre_restart.queries, 0u);
+    EXPECT_GT(result.post_first_epoch.queries, 0u);
+    // Warm start: the post-restart engines answered from their promoted
+    // tiers far more often than they resolved upstream.
+    EXPECT_LT(result.post_first_epoch.upstream_resolves,
+              result.post_first_epoch.queries / 2);
+  }
+}
+
+TEST(ChurnCampaign, RestartKeepsTransitionsInForce) {
+  for (std::uint32_t shards : {1u, 3u}) {
+    ShardedConfig config;
+    config.shards = shards;
+    config.clients = 20;
+    config.qps = 100.0;
+    config.duration = 6 * kSecond;
+    config.names = 20;
+    config.engine.max_ttl = 1;  // refresh traffic reaches the upstreams
+    // The primary is dark and the secondary withdrawn across the restart
+    // at 2 s; both come back later, after the pool's 2 s attempt timeout.
+    config.churn = {{kSecond, 0, ChurnAction::kOutage},
+                    {kSecond + kSecond / 2, 1, ChurnAction::kWithdraw},
+                    {5 * kSecond, 0, ChurnAction::kRecover},
+                    {5 * kSecond + kSecond / 2, 1, ChurnAction::kAnnounce}};
+    config.restart_at = 2 * kSecond;
+    const ShardedResult result = run_sharded(config);
+    ASSERT_EQ(result.shards.size(), 2u * shards);
+
+    // Each event fired exactly once per shard: the first two in the set
+    // before the restart, the last two in the set after it.
+    std::uint64_t fired_before = 0, fired_after = 0;
+    std::uint64_t failovers_after = 0;
+    for (std::uint32_t i = 0; i < shards; ++i) {
+      fired_before += result.shards[i].churn_fired;
+      fired_after += result.shards[shards + i].churn_fired;
+      failovers_after += result.shards[shards + i].engine.failovers;
+    }
+    EXPECT_EQ(fired_before, 2u * shards);
+    EXPECT_EQ(fired_after, 2u * shards);
+
+    // The fresh shards inherited both transitions: they paid timeouts on
+    // the still-dark primary, and one second after the restart the
+    // secondary was still withdrawn.
+    EXPECT_GT(failovers_after, 0u);
+    std::size_t secondaries = 0;
+    for (const UpstreamHealth& health : result.post_first_epoch.upstreams) {
+      if (health.name != "upstream-1") continue;
+      ++secondaries;
+      EXPECT_FALSE(health.admin_enabled);
+    }
+    EXPECT_EQ(secondaries, shards);
+    EXPECT_TRUE(result.load.complete());
+  }
 }
 
 }  // namespace

@@ -48,6 +48,12 @@ trap 'rm -rf "$snapdir"' EXIT
       --qps=2000 --seconds=2 --snapshot-dir="$snapdir" --l2-stale >/dev/null
 "$root/build-sanitize/tools/doxperf" churn --smoke --restart-at=4 \
       --snapshot-dir="$snapdir/churn" >/dev/null
+"$root/build-sanitize/tools/doxperf" churn --smoke --shards=4 \
+      --restart-at=4 --snapshot-dir="$snapdir/churn4" >/dev/null
+# The counting allocator replaces every operator new/delete form, so the
+# byte-path suite's engine run (std::stable_sort's nothrow buffers) pairs
+# cleanly under ASan.
+"$root/build-sanitize/bench/micro_components" --smoke >/dev/null
 # Thousands of streams retired on one DoQ connection under ASan: retired
 # stream records are freed while callbacks are still on the stack.
 "$root/build-sanitize/bench/quic_conn" --smoke >/dev/null
@@ -83,6 +89,8 @@ done
 # queue/loss path under the race detector.
 "$root/build-tsan/tools/doxperf" engine --shards=4 --clients=5000 \
       --qps=3000 --seconds=2 --bottleneck-mbps=20 >/dev/null
+# Attack lanes and sockets on every shard under TSan.
+"$root/build-tsan/tools/doxperf" abuse --smoke --shards=4 >/dev/null
 # Snapshot tier + stale-L2 serving across 4 shards under TSan: per-shard
 # snapshot files must never be touched cross-thread, and stale retention
 # changes the sweep/lookup interleaving.

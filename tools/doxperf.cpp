@@ -13,14 +13,16 @@
 //   doxperf --0rtt --pad --csv=out.csv
 //   doxperf engine --clients=2000 --qps=3000  # forwarder-engine load run
 //   doxperf campaign --jobs=8 --reps=4        # parallel measurement sweep
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "engine/churn.h"
-#include "engine/scenario.h"
 #include "engine/sharded.h"
 #include "measure/csv.h"
 #include "measure/report.h"
@@ -62,36 +64,37 @@ campaign subcommand — the same studies sharded over a thread pool
   --jobs=N           worker threads (default 1; 0 = all hardware threads)
   plus the study flags above (--web, --protocols, --resolvers, --reps, ...)
 
-engine subcommand — forwarder-engine load run (doxperf engine ...):
-  --clients=N        simulated stub clients (default 1000)
-  --qps=N            aggregate Poisson query rate (default 2000)
+engine subcommand — forwarder-engine load run (doxperf engine ...): one
+scenario partitioned across N shard worlds driven by the thread pool,
+clients source-hashed onto shards, per-shard L1 caches over one shared L2
+packet cache:
+  --shards=N         shard count, 1-255 (default 1)
+  --clients=N        simulated stub clients (default 1000000)
+  --qps=N            aggregate Poisson query rate (default 20000)
   --seconds=N        arrival window length (default 10)
   --names=N          distinct query names, Zipf-popular (default 200)
   --seed=N           scenario seed (default 42)
   --no-coalesce      resolve each concurrent identical query upstream
   --no-stale         disable RFC 8767 serve-stale
-  --kill-primary     take the primary upstream down mid-run
+  --kill-primary     take the primary upstream down at half the window
   --snapshot-dir=DIR persistent snapshot tier: replay DIR/shard-N.snap into
                      the caches at startup (warm start) and append every
                      successful resolve (default: disabled)
   --l2-stale         serve RFC 8767 stale answers straight from the shared
-                     L2 (sharded runs; one background refresh per stale hit)
-
-sharded engine (doxperf engine --shards=N ...): one scenario partitioned
-across N shard worlds driven by the thread pool, clients source-hashed onto
-shards, per-shard L1 caches over one shared L2 packet cache:
-  --shards=N         shard count (default: unset — single-engine run above)
+                     L2 (one background refresh per stale hit)
   --threads=N        pool worker threads (default 0 = hardware threads)
   --epoch-ms=N       epoch barrier interval for L2 sweeps (default 100)
   --l2-capacity=N    shared packet-cache entries, 0 disables (default 65536)
   --batch-us=N       coalesce UDP datagrams per host within an N-us window
                      into one batch event, 0 = per-datagram (default 0)
   --wire-cache=N     raw-wire packet-cache entries fronting the L1, 0
-                     disables (default 0; also honoured by single-engine)
+                     disables (default 0)
   --bottleneck-mbps=N     finite-rate ingress link on each shard host, 0
                      disables (default 0)
   --bottleneck-queue-kb=N tail-drop queue depth for that link (default 64)
   --shard-csv=FILE   per-shard stats rows (deterministic columns only)
+Integer flags take plain non-negative decimals; anything else (a sign,
+junk, overflow) prints `doxperf: <msg>` and exits 2.
 
 adverse subcommand — the adverse-path study (doxperf adverse ...): the
 single-query sweep repeated per link profile (baseline / burstloss /
@@ -105,7 +108,8 @@ QUIC RFC 9002) on every transport. Bit-identical for any --jobs value:
   --smoke            tiny deterministic run (CI)
 
 abuse subcommand — engine load plus attack mixes shed by the policy chain
-(doxperf abuse ...): the engine flags above, and
+(doxperf abuse ...): the engine flags above (defaults 1000 clients, 2000
+qps, 10 s), and
   --flood-qps=N      random-subdomain flood rate (default 3000)
   --torture-qps=N    water-torture rate (default 1500)
   --amp-qps=N        spoofed-source TXT amplification rate (default 1000)
@@ -117,28 +121,32 @@ churn subcommand — resolver-churn availability campaign (doxperf churn
 ...): scripted upstream outages/recoveries and anycast-style route flaps
 under live load, with the answerable rate and tail latency bucketed into a
 time series through every transition:
-  --clients/--qps/--seconds/--names/--seed   as for engine (defaults
-                     500 / 1000 / 60 / 200 / 42)
+  the engine flags above (defaults 500 clients, 1000 qps, 60 s), and
   --bucket-ms=N      time-series bucket width (default 1000)
   --restart-at=N     restart the forwarder at second N (0 = never); with
                      --snapshot-dir the new engine warm-starts from disk
-  --snapshot-dir=DIR persistent snapshot tier directory
   --churn-csv=FILE   write the bucket series as CSV
   --smoke            tiny deterministic run (CI)
-Without explicit events the default schedule runs: primary outage at 20%
-of the horizon, recovery at 50%, secondary withdraw at 60%, re-announce
-at 80%.
+The transition schedule: primary outage at 20% of the horizon, recovery
+at 50%, secondary withdraw at 60%, re-announce at 80%.
 )";
+
+/// The text after `name=` in the last matching argument (a repeated flag
+/// overrides the earlier one), or null.
+const char* find_flag(int argc, char** argv, const char* name) {
+  const std::size_t length = std::strlen(name);
+  for (int i = argc - 1; i >= 1; --i) {
+    if (std::strncmp(argv[i], name, length) == 0 && argv[i][length] == '=') {
+      return argv[i] + length + 1;
+    }
+  }
+  return nullptr;
+}
 
 std::string flag_value(int argc, char** argv, const char* name,
                        const char* fallback) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
+  const char* value = find_flag(argc, argv, name);
+  return value != nullptr ? value : fallback;
 }
 
 bool flag_set(int argc, char** argv, const char* name) {
@@ -172,9 +180,30 @@ std::vector<dox::DnsProtocol> parse_protocols(const std::string& list) {
   return out;
 }
 
+/// The value of `--flag=N`, or `fallback` when the flag is absent. N must
+/// be a plain decimal integer in [0, max]: a sign, junk, an empty value or
+/// overflow throws std::invalid_argument, which main() reports as
+/// `doxperf: <msg>` with exit code 2.
+std::uint64_t flag_count(int argc, char** argv, const char* name,
+                         std::uint64_t fallback,
+                         std::uint64_t max = 1'000'000'000) {
+  const char* text = find_flag(argc, argv, name);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (text == end || error != std::errc() || stop != end || value > max) {
+    throw std::invalid_argument(std::string(name) + "=" + text +
+                                ": expected an integer in [0, " +
+                                std::to_string(max) + "]");
+  }
+  return value;
+}
+
+/// `flag_count` for the flags that land in an int.
 int flag_int(int argc, char** argv, const char* name, int fallback) {
-  const std::string value = flag_value(argc, argv, name, "");
-  return value.empty() ? fallback : std::atoi(value.c_str());
+  return static_cast<int>(flag_count(argc, argv, name,
+                                     static_cast<std::uint64_t>(fallback)));
 }
 
 /// Per-shard stats rows. Only simulation-derived (deterministic) columns —
@@ -239,84 +268,133 @@ std::string shard_csv(const engine::ShardedResult& result) {
   return out;
 }
 
-/// `doxperf engine --shards=N` — the sharded engine run.
-int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
+/// Defaults of the load flags every engine subcommand shares.
+struct LoadDefaults {
+  std::uint64_t clients;
+  std::uint64_t qps;
+  std::uint64_t seconds;
+};
+
+/// The engine flags shared by `engine`, `abuse` and `churn` (see kUsage).
+engine::ShardedConfig engine_flags(int argc, char** argv,
+                                   const LoadDefaults& defaults) {
   engine::ShardedConfig config;
-  config.shards = shards;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.clients = static_cast<std::size_t>(
-      std::atoll(flag_value(argc, argv, "--clients", "1000000").c_str()));
-  config.qps = flag_int(argc, argv, "--qps", 20000);
-  config.duration = flag_int(argc, argv, "--seconds", 10) * kSecond;
-  config.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
+  config.shards = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(1, flag_count(argc, argv, "--shards", 1, 255)));
+  config.seed = flag_count(argc, argv, "--seed", 42, UINT64_MAX);
+  config.clients =
+      flag_count(argc, argv, "--clients", defaults.clients, UINT32_MAX);
+  config.qps = static_cast<double>(
+      flag_count(argc, argv, "--qps", defaults.qps));
+  config.duration = static_cast<SimTime>(flag_count(
+                        argc, argv, "--seconds", defaults.seconds, 1'000'000)) *
+                    kSecond;
+  config.names = flag_count(argc, argv, "--names", 200, UINT32_MAX);
   config.threads = flag_int(argc, argv, "--threads", 0);
   config.epoch = flag_int(argc, argv, "--epoch-ms", 100) * kMillisecond;
-  config.l2_capacity = static_cast<std::size_t>(
-      flag_int(argc, argv, "--l2-capacity", 1 << 16));
-  config.batch_window =
-      flag_int(argc, argv, "--batch-us", 0) * kMicrosecond;
+  config.l2_capacity = flag_count(argc, argv, "--l2-capacity", 1 << 16);
+  config.batch_window = flag_int(argc, argv, "--batch-us", 0) * kMicrosecond;
   config.engine.coalesce = !flag_set(argc, argv, "--no-coalesce");
   config.engine.serve_stale = !flag_set(argc, argv, "--no-stale");
-  config.engine.wire_cache_capacity = static_cast<std::size_t>(
-      flag_int(argc, argv, "--wire-cache", 0));
+  config.engine.wire_cache_capacity =
+      flag_count(argc, argv, "--wire-cache", 0);
   config.engine.snapshot_dir = flag_value(argc, argv, "--snapshot-dir", "");
   config.engine.l2_serve_stale = flag_set(argc, argv, "--l2-stale");
+  // Short TTLs keep refresh traffic flowing past the initial warmup.
   config.engine.max_ttl = 1;
-  const int bottleneck_mbps = flag_int(argc, argv, "--bottleneck-mbps", 0);
+  const std::uint64_t bottleneck_mbps =
+      flag_count(argc, argv, "--bottleneck-mbps", 0);
   if (bottleneck_mbps > 0) {
     net::LinkConfig link;
     link.rate_bps = static_cast<double>(bottleneck_mbps) * 1e6;
-    link.queue_bytes = static_cast<std::size_t>(
-                           flag_int(argc, argv, "--bottleneck-queue-kb", 64)) *
+    link.queue_bytes = flag_count(argc, argv, "--bottleneck-queue-kb", 64,
+                                  1'000'000) *
                        1024;
     config.bottleneck = link;
   }
+  if (flag_set(argc, argv, "--kill-primary")) {
+    config.churn.push_back(
+        {config.duration / 2, 0, engine::ChurnAction::kOutage});
+  }
+  return config;
+}
 
-  const auto result = engine::run_sharded(config);
-  const auto& e = result.engine;
+void print_client_side(const engine::ShardedResult& result) {
   const auto latency = result.load.latency_summary();
-  std::printf("sharded engine: %u shards, %zu clients, %.0f qps offered for "
-              "%llu s (seed %llu)\n",
-              config.shards, config.clients, config.qps,
-              static_cast<unsigned long long>(config.duration / kSecond),
-              static_cast<unsigned long long>(config.seed));
-  std::printf("  epoch %llu ms, %llu epochs, L2 capacity %zu, coalescing "
-              "%s, batch window %llu us, wire cache %zu\n",
-              static_cast<unsigned long long>(config.epoch / kMillisecond),
-              static_cast<unsigned long long>(result.epochs),
-              config.l2_capacity, config.engine.coalesce ? "on" : "off",
-              static_cast<unsigned long long>(config.batch_window),
-              config.engine.wire_cache_capacity);
-  std::printf("\nthroughput     %9.0f qps critical-path (%.0f qps wall on "
-              "this host)\n",
-              result.effective_qps(), result.wall_qps());
-  std::printf("timing         wall %.1f ms  critical path %.1f ms  sweeps "
-              "%.2f ms\n",
-              result.wall_ms, result.critical_path_ms, result.sweep_ms);
-  std::printf("queries        %llu processed, %llu arrivals, %llu sim "
-              "events\n",
-              static_cast<unsigned long long>(e.queries),
-              static_cast<unsigned long long>(result.total_arrivals),
-              static_cast<unsigned long long>(
-                  [&] {
-                    std::uint64_t total = 0;
-                    for (const auto& s : result.shards) total += s.events;
-                    return total;
-                  }()));
-  std::printf("latency        p50 %.2f  p95 %.2f  p99 %.2f  max %.2f ms\n",
-              latency.median, latency.p95, latency.p99, latency.max);
   std::printf("client side    answered %llu  servfail %llu  timeout %llu  "
               "shed %llu\n",
               static_cast<unsigned long long>(result.load.answered),
               static_cast<unsigned long long>(result.load.servfails),
               static_cast<unsigned long long>(result.load.timeouts),
               static_cast<unsigned long long>(result.load.shed));
-  std::printf("L1 cache       hit %llu  stale %llu  miss %llu\n",
+  std::printf("latency        p50 %.2f  p95 %.2f  p99 %.2f  max %.2f ms\n",
+              latency.median, latency.p95, latency.p99, latency.max);
+}
+
+void print_upstream(const engine::EngineStats& e) {
+  std::printf("upstream       resolves %llu  attempts %llu  failovers %llu"
+              "  stale refreshes %llu  servfails %llu\n",
+              static_cast<unsigned long long>(e.upstream_resolves),
+              static_cast<unsigned long long>(e.upstream_attempts),
+              static_cast<unsigned long long>(e.failovers),
+              static_cast<unsigned long long>(e.stale_refreshes),
+              static_cast<unsigned long long>(e.servfails_sent));
+}
+
+void print_snapshot(const engine::ShardedConfig& config,
+                    const engine::EngineStats& e) {
+  if (config.engine.snapshot_dir.empty()) return;
+  std::printf("snapshot tier  hit %llu / %llu lookups  warm-loaded %llu  "
+              "entries %llu (%llu bytes)\n",
+              static_cast<unsigned long long>(e.snapshot_hits),
+              static_cast<unsigned long long>(e.snapshot_lookups),
+              static_cast<unsigned long long>(e.snapshot_warm_loaded),
+              static_cast<unsigned long long>(e.snapshot_entries),
+              static_cast<unsigned long long>(e.snapshot_bytes));
+}
+
+/// `doxperf engine` — the forwarder engine under multi-client load, on
+/// --shards shard worlds (default 1).
+int run_engine(int argc, char** argv) {
+  const engine::ShardedConfig config =
+      engine_flags(argc, argv, {1'000'000, 20'000, 10});
+  const auto result = engine::run_sharded(config);
+  const auto& e = result.engine;
+  std::printf("forwarder engine: %u shards, %zu clients, %zu names, %.0f qps "
+              "offered for %llu s (seed %llu)\n",
+              config.shards, config.clients, config.names, config.qps,
+              static_cast<unsigned long long>(config.duration / kSecond),
+              static_cast<unsigned long long>(config.seed));
+  std::printf("  epoch %llu ms, %llu epochs, L2 capacity %zu, coalescing "
+              "%s, serve-stale %s, batch window %llu us, wire cache %zu, "
+              "primary %s\n",
+              static_cast<unsigned long long>(config.epoch / kMillisecond),
+              static_cast<unsigned long long>(result.epochs),
+              config.l2_capacity, config.engine.coalesce ? "on" : "off",
+              config.engine.serve_stale ? "on" : "off",
+              static_cast<unsigned long long>(config.batch_window),
+              config.engine.wire_cache_capacity,
+              config.churn.empty() ? "up" : "killed mid-run");
+  std::printf("\nthroughput     %9.0f qps critical-path (%.0f qps wall on "
+              "this host)\n",
+              result.effective_qps(), result.wall_qps());
+  std::printf("timing         wall %.1f ms  critical path %.1f ms  sweeps "
+              "%.2f ms\n",
+              result.wall_ms, result.critical_path_ms, result.sweep_ms);
+  std::uint64_t events = 0;
+  for (const auto& shard : result.shards) events += shard.events;
+  std::printf("queries        %llu processed, %llu arrivals, %llu sim "
+              "events\n",
+              static_cast<unsigned long long>(e.queries),
+              static_cast<unsigned long long>(result.total_arrivals),
+              static_cast<unsigned long long>(events));
+  print_client_side(result);
+  std::printf("L1 cache       hit %llu  stale %llu  miss %llu  evictions "
+              "%llu\n",
               static_cast<unsigned long long>(e.cache_hits),
               static_cast<unsigned long long>(e.stale_hits),
-              static_cast<unsigned long long>(e.misses));
+              static_cast<unsigned long long>(e.misses),
+              static_cast<unsigned long long>(e.cache_evictions));
   std::printf("wire cache     hit %llu / %llu lookups\n",
               static_cast<unsigned long long>(e.wire_hits),
               static_cast<unsigned long long>(e.wire_lookups));
@@ -329,23 +407,20 @@ int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
               static_cast<unsigned long long>(result.l2.applied_inserts),
               static_cast<unsigned long long>(result.l2.lock_misses),
               result.l2.size);
-  if (!config.engine.snapshot_dir.empty()) {
-    std::printf("snapshot tier  hit %llu / %llu lookups  warm-loaded %llu  "
-                "entries %llu (%llu bytes)\n",
-                static_cast<unsigned long long>(e.snapshot_hits),
-                static_cast<unsigned long long>(e.snapshot_lookups),
-                static_cast<unsigned long long>(e.snapshot_warm_loaded),
-                static_cast<unsigned long long>(e.snapshot_entries),
-                static_cast<unsigned long long>(e.snapshot_bytes));
+  print_snapshot(config, e);
+  std::printf("coalescing     joined %llu in-flight resolves (%.0f%% of "
+              "misses)\n",
+              static_cast<unsigned long long>(e.coalesced),
+              100.0 * e.coalesce_rate());
+  print_upstream(e);
+  std::printf("failure classes");
+  for (util::ErrorClass cls : util::kAllErrorClasses) {
+    if (cls == util::ErrorClass::kNone) continue;
+    std::printf("  %s %llu", std::string(util::error_class_name(cls)).c_str(),
+                static_cast<unsigned long long>(
+                    e.upstream_errors.count(cls)));
   }
-  std::printf("coalescing     joined %llu in-flight resolves\n",
-              static_cast<unsigned long long>(e.coalesced));
-  std::printf("upstream       resolves %llu  attempts %llu  servfails "
-              "%llu\n",
-              static_cast<unsigned long long>(e.upstream_resolves),
-              static_cast<unsigned long long>(e.upstream_attempts),
-              static_cast<unsigned long long>(e.servfails_sent));
-  std::printf("per shard      arrivals [");
+  std::printf("\nper shard      arrivals [");
   for (const auto& shard : result.shards) {
     std::printf("%s%llu", shard.index == 0 ? "" : " ",
                 static_cast<unsigned long long>(shard.arrivals));
@@ -366,139 +441,29 @@ int run_engine_sharded(int argc, char** argv, std::uint32_t shards) {
   return 0;
 }
 
-/// `doxperf engine` — run the forwarder engine under multi-client load and
-/// print its stats surface.
-int run_engine(int argc, char** argv) {
-  const int shards = flag_int(argc, argv, "--shards", 0);
-  if (shards > 0) {
-    return run_engine_sharded(argc, argv,
-                              static_cast<std::uint32_t>(shards));
-  }
-  engine::ScenarioConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.load.clients =
-      static_cast<std::size_t>(flag_int(argc, argv, "--clients", 1000));
-  config.load.qps = flag_int(argc, argv, "--qps", 2000);
-  config.load.duration = flag_int(argc, argv, "--seconds", 10) * kSecond;
-  config.load.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
-  config.engine.coalesce = !flag_set(argc, argv, "--no-coalesce");
-  config.engine.serve_stale = !flag_set(argc, argv, "--no-stale");
-  config.engine.wire_cache_capacity = static_cast<std::size_t>(
-      flag_int(argc, argv, "--wire-cache", 0));
-  config.engine.snapshot_dir = flag_value(argc, argv, "--snapshot-dir", "");
-  // Short TTLs keep refresh traffic flowing past the initial warmup.
-  config.engine.max_ttl = 1;
-  if (flag_set(argc, argv, "--kill-primary")) {
-    config.kill_primary_at = config.load.duration / 2;
-  }
-
-  const auto result = engine::run_scenario(config);
-  const auto& e = result.engine;
-  const auto& l = result.load;
-  const auto latency = l.latency_summary();
-  std::printf("forwarder engine: %zu clients, %zu names, %.0f qps offered "
-              "for %llu s (seed %llu)\n",
-              config.load.clients, config.load.names, config.load.qps,
-              static_cast<unsigned long long>(config.load.duration /
-                                              kSecond),
-              static_cast<unsigned long long>(config.seed));
-  std::printf("  coalescing %s, serve-stale %s, primary %s\n",
-              config.engine.coalesce ? "on" : "off",
-              config.engine.serve_stale ? "on" : "off",
-              config.kill_primary_at ? "killed mid-run" : "up");
-  std::printf("\nsustained      %9.0f qps (%llu queries, %llu events)\n",
-              result.engine_qps, static_cast<unsigned long long>(e.queries),
-              static_cast<unsigned long long>(result.events));
-  std::printf("latency        p50 %.2f  p95 %.2f  p99 %.2f  max %.2f ms\n",
-              latency.median, latency.p95, latency.p99, latency.max);
-  std::printf("client side    answered %llu  servfail %llu  timeout %llu\n",
-              static_cast<unsigned long long>(l.answered),
-              static_cast<unsigned long long>(l.servfails),
-              static_cast<unsigned long long>(l.timeouts));
-  std::printf("cache          hit %llu  stale %llu  miss %llu  "
-              "evictions %llu\n",
-              static_cast<unsigned long long>(e.cache_hits),
-              static_cast<unsigned long long>(e.stale_hits),
-              static_cast<unsigned long long>(e.misses),
-              static_cast<unsigned long long>(e.cache_evictions));
-  if (config.engine.wire_cache_capacity > 0) {
-    std::printf("wire cache     hit %llu / %llu lookups\n",
-                static_cast<unsigned long long>(e.wire_hits),
-                static_cast<unsigned long long>(e.wire_lookups));
-  }
-  if (!config.engine.snapshot_dir.empty()) {
-    std::printf("snapshot tier  hit %llu / %llu lookups  warm-loaded %llu  "
-                "entries %llu (%llu bytes)\n",
-                static_cast<unsigned long long>(e.snapshot_hits),
-                static_cast<unsigned long long>(e.snapshot_lookups),
-                static_cast<unsigned long long>(e.snapshot_warm_loaded),
-                static_cast<unsigned long long>(e.snapshot_entries),
-                static_cast<unsigned long long>(e.snapshot_bytes));
-  }
-  std::printf("coalescing     joined %llu in-flight resolves (%.0f%% of "
-              "misses)\n",
-              static_cast<unsigned long long>(e.coalesced),
-              100.0 * e.coalesce_rate());
-  std::printf("upstream       resolves %llu  attempts %llu  failovers %llu"
-              "  stale refreshes %llu  servfails %llu\n",
-              static_cast<unsigned long long>(e.upstream_resolves),
-              static_cast<unsigned long long>(e.upstream_attempts),
-              static_cast<unsigned long long>(e.failovers),
-              static_cast<unsigned long long>(e.stale_refreshes),
-              static_cast<unsigned long long>(e.servfails_sent));
-  for (const auto& upstream : e.upstreams) {
-    std::printf("  %-12s ewma %7.2f ms  attempts %6llu  failures %5llu"
-                "  %s\n",
-                upstream.name.c_str(), upstream.ewma_latency_ms,
-                static_cast<unsigned long long>(upstream.attempts),
-                static_cast<unsigned long long>(upstream.failures),
-                upstream.healthy ? "healthy" : "quarantined");
-  }
-  std::printf("failure classes");
-  for (util::ErrorClass cls : util::kAllErrorClasses) {
-    if (cls == util::ErrorClass::kNone) continue;
-    std::printf("  %s %llu", std::string(util::error_class_name(cls)).c_str(),
-                static_cast<unsigned long long>(
-                    e.upstream_errors.count(cls)));
-  }
-  std::printf("\n");
-  return 0;
-}
-
 /// `doxperf abuse` — the abuse-scenario family: legit load plus the three
 /// attack mixes, shed by the canonical policy chain.
 int run_abuse(int argc, char** argv) {
   const bool smoke = flag_set(argc, argv, "--smoke");
-  engine::ScenarioConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.load.clients = static_cast<std::size_t>(
-      flag_int(argc, argv, "--clients", smoke ? 200 : 1000));
-  config.load.qps = flag_int(argc, argv, "--qps", smoke ? 500 : 2000);
-  config.load.duration =
-      flag_int(argc, argv, "--seconds", smoke ? 5 : 10) * kSecond;
-  config.load.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
-  config.abuse.enabled = true;
-  config.abuse.flood_qps =
-      flag_int(argc, argv, "--flood-qps", smoke ? 800 : 3000);
-  config.abuse.torture_qps =
-      flag_int(argc, argv, "--torture-qps", smoke ? 400 : 1500);
-  config.abuse.amp_qps = flag_int(argc, argv, "--amp-qps", smoke ? 300 : 1000);
-  config.abuse.start = (smoke ? 1 : 2) * kSecond;
-  config.abuse.rate_limit_qps = static_cast<std::uint32_t>(
-      flag_int(argc, argv, "--rate-limit", 100));
-  config.engine.max_ttl = 1;
+  engine::ShardedConfig config = engine_flags(
+      argc, argv, smoke ? LoadDefaults{200, 500, 5} : LoadDefaults{1000, 2000, 10});
+  engine::AbuseMix& abuse = config.abuse.emplace();
+  abuse.flood_qps = static_cast<double>(
+      flag_count(argc, argv, "--flood-qps", smoke ? 800 : 3000));
+  abuse.torture_qps = static_cast<double>(
+      flag_count(argc, argv, "--torture-qps", smoke ? 400 : 1500));
+  abuse.amp_qps = static_cast<double>(
+      flag_count(argc, argv, "--amp-qps", smoke ? 300 : 1000));
+  abuse.start = (smoke ? 1 : 2) * kSecond;
+  abuse.rate_limit_qps = static_cast<std::uint32_t>(
+      flag_count(argc, argv, "--rate-limit", 100, UINT32_MAX));
 
-  const auto result = engine::run_scenario(config);
+  const auto result = engine::run_sharded(config);
   const auto& e = result.engine;
-  const auto latency = result.load.latency_summary();
-  std::printf("abuse scenario: %zu clients at %.0f legit qps for %llu s "
-              "(seed %llu)\n",
-              config.load.clients, config.load.qps,
-              static_cast<unsigned long long>(config.load.duration / kSecond),
+  std::printf("abuse scenario: %u shards, %zu clients at %.0f legit qps for "
+              "%llu s (seed %llu)\n",
+              config.shards, config.clients, config.qps,
+              static_cast<unsigned long long>(config.duration / kSecond),
               static_cast<unsigned long long>(config.seed));
   for (const auto& attack : result.attacks) {
     std::printf("  %-17s sent %7llu  answered %6llu  refused %6llu  "
@@ -523,12 +488,7 @@ int run_abuse(int argc, char** argv) {
                 static_cast<unsigned long long>(rule.matches));
   }
   std::printf("attack shed    %.1f%%\n", 100.0 * result.attack_shed_rate());
-  std::printf("legit          answered %llu  servfail %llu  timeout %llu\n",
-              static_cast<unsigned long long>(result.load.answered),
-              static_cast<unsigned long long>(result.load.servfails),
-              static_cast<unsigned long long>(result.load.timeouts));
-  std::printf("legit latency  p50 %.2f  p95 %.2f  p99 %.2f ms\n",
-              latency.median, latency.p95, latency.p99);
+  print_client_side(result);
 
   const std::string policy_csv_path =
       flag_value(argc, argv, "--policy-csv", "");
@@ -543,55 +503,53 @@ int run_abuse(int argc, char** argv) {
 /// outages/recoveries and route flaps, answerable-rate + tail-latency time
 /// series through every transition, optional mid-run forwarder restart
 /// with snapshot warm start.
-int run_churn_cmd(int argc, char** argv) {
+int run_churn(int argc, char** argv) {
   const bool smoke = flag_set(argc, argv, "--smoke");
-  engine::ChurnConfig config;
-  config.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
-  config.load.clients = static_cast<std::size_t>(
-      flag_int(argc, argv, "--clients", smoke ? 100 : 500));
-  config.load.qps = flag_int(argc, argv, "--qps", smoke ? 300 : 1000);
-  const int seconds = flag_int(argc, argv, "--seconds", smoke ? 8 : 60);
-  config.load.duration = seconds * kSecond;
-  config.load.names =
-      static_cast<std::size_t>(flag_int(argc, argv, "--names", 200));
+  engine::ShardedConfig config = engine_flags(
+      argc, argv, smoke ? LoadDefaults{100, 300, 8} : LoadDefaults{500, 1000, 60});
   config.bucket = flag_int(argc, argv, "--bucket-ms", 1000) * kMillisecond;
-  config.engine.snapshot_dir =
-      flag_value(argc, argv, "--snapshot-dir", "");
-  config.restart_at = flag_int(argc, argv, "--restart-at", 0) * kSecond;
-  // Short TTLs keep refresh traffic flowing, so an outage is visible as
-  // latency/timeouts instead of being absorbed by a warmed cache.
-  config.engine.max_ttl = 1;
-
+  config.restart_at = static_cast<SimTime>(flag_count(
+                          argc, argv, "--restart-at", 0, 1'000'000)) *
+                      kSecond;
   // Default transition schedule, scaled to the horizon: the primary dies
   // and recovers (timeout-discovered), the second upstream is withdrawn
-  // and re-announced (plan-level, no timeout paid).
-  const SimTime horizon = config.load.duration;
-  config.events = {
-      {horizon / 5, 0, engine::ChurnAction::kOutage},
-      {horizon / 2, 0, engine::ChurnAction::kRecover},
-      {horizon * 3 / 5, 1, engine::ChurnAction::kWithdraw},
-      {horizon * 4 / 5, 1, engine::ChurnAction::kAnnounce},
-  };
+  // and re-announced (plan-level, no timeout paid). It goes in front of
+  // --kill-primary's outage, which therefore fires after the recovery at
+  // the same instant and keeps the primary down from half the window.
+  const SimTime horizon = config.duration;
+  config.churn.insert(
+      config.churn.begin(),
+      {{horizon / 5, 0, engine::ChurnAction::kOutage},
+       {horizon / 2, 0, engine::ChurnAction::kRecover},
+       {horizon * 3 / 5, 1, engine::ChurnAction::kWithdraw},
+       {horizon * 4 / 5, 1, engine::ChurnAction::kAnnounce}});
+  std::stable_sort(config.churn.begin(), config.churn.end(),
+                   [](const engine::ChurnEvent& a,
+                      const engine::ChurnEvent& b) { return a.at < b.at; });
 
-  const auto result = engine::run_churn(config);
+  const auto result = engine::run_sharded(config);
   const auto& e = result.engine;
-  std::printf("churn campaign: %zu clients, %.0f qps offered for %d s "
-              "(seed %llu)\n",
-              config.load.clients, config.load.qps, seconds,
+  std::printf("churn campaign: %u shards, %zu clients, %.0f qps offered for "
+              "%llu s (seed %llu)\n",
+              config.shards, config.clients, config.qps,
+              static_cast<unsigned long long>(horizon / kSecond),
               static_cast<unsigned long long>(config.seed));
-  for (const auto& event : result.events) {
+  for (const auto& event : config.churn) {
     std::printf("  t=%5.1fs upstream-%zu %s\n",
                 static_cast<double>(event.at) / kSecond, event.upstream,
                 std::string(engine::churn_action_name(event.action))
                     .c_str());
   }
+  std::uint64_t fired = 0;
+  for (const auto& shard : result.shards) fired += shard.churn_fired;
+  std::printf("  churn events fired: %llu across all shards\n",
+              static_cast<unsigned long long>(fired));
   if (config.restart_at > 0) {
     std::printf("  t=%5.1fs forwarder restart (%s; warm-loaded %llu)\n",
                 static_cast<double>(config.restart_at) / kSecond,
                 config.engine.snapshot_dir.empty() ? "cold"
                                                    : "snapshot warm start",
-                static_cast<unsigned long long>(result.warm_loaded));
+                static_cast<unsigned long long>(e.snapshot_warm_loaded));
   }
   std::printf("\n%8s %8s %8s %9s %9s %12s %9s %9s\n", "bucket_s", "sent",
               "answered", "servfails", "timeouts", "answer_rate", "p50_ms",
@@ -605,30 +563,14 @@ int run_churn_cmd(int argc, char** argv) {
                 static_cast<unsigned long long>(bucket.timeouts),
                 bucket.answer_rate(), bucket.p50_ms, bucket.p99_ms);
   }
-  const auto latency = result.load.latency_summary();
-  std::printf("\nclient side    answered %llu  servfail %llu  timeout "
-              "%llu\n",
-              static_cast<unsigned long long>(result.load.answered),
-              static_cast<unsigned long long>(result.load.servfails),
-              static_cast<unsigned long long>(result.load.timeouts));
-  std::printf("latency        p50 %.2f  p95 %.2f  p99 %.2f ms\n",
-              latency.median, latency.p95, latency.p99);
-  std::printf("upstream       resolves %llu  attempts %llu  failovers "
-              "%llu\n",
-              static_cast<unsigned long long>(e.upstream_resolves),
-              static_cast<unsigned long long>(e.upstream_attempts),
-              static_cast<unsigned long long>(e.failovers));
-  if (!config.engine.snapshot_dir.empty()) {
-    std::printf("snapshot tier  hit %llu / %llu lookups  warm-loaded "
-                "%llu\n",
-                static_cast<unsigned long long>(e.snapshot_hits),
-                static_cast<unsigned long long>(e.snapshot_lookups),
-                static_cast<unsigned long long>(e.snapshot_warm_loaded));
-  }
+  std::printf("\n");
+  print_client_side(result);
+  print_upstream(e);
+  print_snapshot(config, e);
 
   const std::string csv_path = flag_value(argc, argv, "--churn-csv", "");
   if (!csv_path.empty()) {
-    write_file(csv_path, engine::churn_csv(result));
+    write_file(csv_path, engine::series_csv(result));
     std::printf("churn series -> %s\n", csv_path.c_str());
   }
   return 0;
@@ -685,8 +627,7 @@ std::vector<AdverseProfile> adverse_profiles() {
 int run_adverse(int argc, char** argv) {
   const bool smoke = flag_set(argc, argv, "--smoke");
   runner::CampaignConfig campaign;
-  campaign.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
+  campaign.seed = flag_count(argc, argv, "--seed", 42, UINT64_MAX);
   campaign.jobs = flag_int(argc, argv, "--jobs", 1);
   campaign.population.verified_only = true;
   campaign.population.verified_dox =
@@ -785,8 +726,7 @@ int run_adverse(int argc, char** argv) {
 /// work-stealing pool; reports the same tables plus wall-clock timing.
 int run_campaign(int argc, char** argv) {
   runner::CampaignConfig campaign;
-  campaign.seed = static_cast<std::uint64_t>(
-      std::atoll(flag_value(argc, argv, "--seed", "42").c_str()));
+  campaign.seed = flag_count(argc, argv, "--seed", 42, UINT64_MAX);
   campaign.jobs = flag_int(argc, argv, "--jobs", 1);
   campaign.population.verified_only = true;
   campaign.population.verified_dox = flag_int(argc, argv, "--resolvers", 48);
@@ -885,7 +825,7 @@ int main(int argc, char** argv) {
       return run_abuse(argc, argv);
     }
     if (argc > 1 && std::strcmp(argv[1], "churn") == 0) {
-      return run_churn_cmd(argc, argv);
+      return run_churn(argc, argv);
     }
     if (argc > 1 && std::strcmp(argv[1], "campaign") == 0) {
       return run_campaign(argc, argv);
@@ -903,12 +843,10 @@ int main(int argc, char** argv) {
 int run(int argc, char** argv) {
 
   TestbedConfig config;
-  config.seed =
-      static_cast<std::uint64_t>(std::atoll(
-          flag_value(argc, argv, "--seed", "42").c_str()));
+  config.seed = flag_count(argc, argv, "--seed", 42, UINT64_MAX);
   config.population.verified_only = true;
   config.population.verified_dox =
-      std::atoi(flag_value(argc, argv, "--resolvers", "48").c_str());
+      flag_int(argc, argv, "--resolvers", 48);
   if (flag_set(argc, argv, "--0rtt")) {
     config.population.force_supports_0rtt = true;
   }
@@ -931,9 +869,8 @@ int run(int argc, char** argv) {
     web.protocols = protocols;
     web.max_resolvers = std::min<int>(
         config.population.verified_dox,
-        std::atoi(flag_value(argc, argv, "--resolvers", "48").c_str()));
-    web.loads_per_combo =
-        std::atoi(flag_value(argc, argv, "--loads", "4").c_str());
+        flag_int(argc, argv, "--resolvers", 48));
+    web.loads_per_combo = flag_int(argc, argv, "--loads", 4);
     web.dot_buggy_reuse = !flag_set(argc, argv, "--fix-dot");
     web.attempt_0rtt = true;
     const std::string pages = flag_value(argc, argv, "--pages", "");
@@ -954,7 +891,7 @@ int run(int argc, char** argv) {
   SingleQueryConfig sq;
   sq.protocols = protocols;
   sq.qname = flag_value(argc, argv, "--qname", "google.com");
-  sq.repetitions = std::atoi(flag_value(argc, argv, "--reps", "1").c_str());
+  sq.repetitions = flag_int(argc, argv, "--reps", 1);
   sq.use_session_resumption = !flag_set(argc, argv, "--no-resumption");
   sq.use_address_token = !flag_set(argc, argv, "--no-token");
   sq.pad_encrypted = flag_set(argc, argv, "--pad");
